@@ -350,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="geproci",
                                 description="Exact finite-geometry toolkit for PG(3,q)")
     p.add_argument("--out", help="write a JSON run report to this path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on internal parallelism (currently single-threaded)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("field-info", help="describe a field spec")

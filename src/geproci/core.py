@@ -32,10 +32,12 @@ from .multipoly import (
     HomogeneousForm,
     KernelBasis,
     ScalarRing,
+    condition_rank,
     coprime_certificate,
     derivative_row,
     evaluate,
     evaluation_row,
+    hilbert_value,
     kernel_of_conditions,
     monomial_count,
     monomials,
@@ -393,14 +395,14 @@ def unexpected_cone_dim(Z: PointSet, d: int, P: GeneralPoint):
     """(lhs, rhs, unexpected): lhs = dim [I(Z) ∩ I(P)^d]_d.
 
     Degree-d forms in I(P)^d are exactly pullbacks of plane degree-d
-    curves under projection from P, so lhs equals the kernel dimension of
-    the projected point conditions — a much smaller elimination than the
-    stacked 4-variable matrix.
+    curves under projection from P, so lhs equals the corank of the
+    projected point conditions — a much smaller elimination than the
+    stacked 4-variable matrix, and one that needs no kernel basis.
     """
-    from .multipoly import hilbert_value
-
-    S = project(Z, P)
-    lhs = interpolate_curve(S, d).dimension
+    if d < 1:
+        raise CoreError("degree must be >= 1")
+    mat = project(Z, P).condition_rows(d)
+    lhs = mat.ncols - condition_rank(mat)
     n = Z.dim
     rhs = max(0, hilbert_value(Z, d) - math.comb(d + n - 1, n))
     return lhs, rhs, lhs > rhs

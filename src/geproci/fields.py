@@ -908,10 +908,6 @@ class MultiPoly:
                     rem[te] = s
         return MultiPoly(F, self.names, out)
 
-    def content_gcd(self, other: "MultiPoly" = None) -> "MultiPoly":
-        """gcd with another polynomial (prime coefficient fields only)."""
-        return mp_gcd(self, other) if other is not None else self
-
     def __repr__(self):
         return poly_str(self)
 

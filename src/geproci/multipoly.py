@@ -3,9 +3,12 @@ and coprimality certification via resultants.
 
 Scalars are either :class:`FieldElement` (finite coefficient field) or
 :class:`RationalFunction` (generic-point mode).  Finite-field matrices are
-reduced by plain Gaussian elimination; function-field matrices go through
-fraction-free (Bareiss) elimination on cleared-denominator polynomial rows
-to control intermediate blowup.
+reduced by plain Gaussian elimination.  Function-field condition matrices
+have polynomial entries in F_q[a,b,c]; they go through fraction-free
+(Bareiss) forward elimination, and their kernel vectors come from an exact
+Cramer back-substitution, so every entry is a minor of the matrix and no
+polynomial gcd is ever taken.  A kernel form is defined up to a unit of
+F_q(a,b,c); only its leading F_q coefficient is normalized.
 """
 from __future__ import annotations
 
@@ -18,10 +21,7 @@ from .fields import (
     FieldElement,
     FunctionField,
     MultiPoly,
-    PrimeField,
     RationalFunction,
-    mp_gcd,
-    mp_gcd_list,
 )
 from .projgeom import PointSet
 
@@ -494,24 +494,29 @@ def _finite_kernel(mat: EvaluationMatrix):
 
 
 def _to_poly_rows(mat: EvaluationMatrix):
-    """Clear denominators, returning MultiPoly rows."""
+    """Condition rows as MultiPoly rows.
+
+    Projected coordinates are polynomials in the transcendentals, so every
+    condition entry is one; a non-constant denominator is a caller error.
+    """
     rows = []
     for row in mat.rows:
-        dens = [c.den for c in row if not c.den.is_constant()]
-        if dens:
-            common = dens[0]
-            for d in dens[1:]:
-                g = mp_gcd(common, d) if isinstance(common.field, PrimeField) else None
-                common = common * (d.exact_div(g) if g is not None and not g.is_constant() else d)
-            rows.append([c.num * common.exact_div(c.den) for c in row])
-        else:
-            rows.append([c.num for c in row])
+        if any(not c.den.is_constant() for c in row):
+            raise PolyError("condition entry with a non-constant denominator")
+        rows.append([c.num.exact_div(c.den) for c in row])
     return rows
 
 
-def _bareiss_echelon(field, names, rows):
-    """Fraction-free elimination; returns (pivot_cols, echelon poly rows)."""
-    rows = [list(r) for r in rows]
+def _bareiss_echelon(mat: EvaluationMatrix):
+    """Fraction-free elimination; returns (pivot_cols, echelon poly rows).
+
+    Row i of the echelon form holds (i+1)x(i+1) minors of the row-permuted
+    input, so its pivot in the last row is the r x r minor on the pivot
+    columns.
+    """
+    ff = mat.ring.function_field
+    field, names = ff.field, ff.names
+    rows = _to_poly_rows(mat)
     ncols = len(rows[0]) if rows else 0
     prev = MultiPoly.const(field, names, 1)
     pivots = []
@@ -550,79 +555,39 @@ def _bareiss_echelon(field, names, rows):
 def _function_kernel(mat: EvaluationMatrix):
     ff = mat.ring.function_field
     field, names = ff.field, ff.names
-    poly_rows = _to_poly_rows(mat)
-    pivots, ech = _bareiss_echelon(field, names, poly_rows)
+    pivots, ech = _bareiss_echelon(mat)
     rank = len(pivots)
     ncols = mat.ncols
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    # Cramer back-substitution (Bareiss; Nakos-Turner-Williams): with the
+    # free entry set to d, the r x r minor on the pivot columns, every
+    # pivot entry of the kernel vector is an r x r minor as well, so each
+    # division below is exact and the vector is polynomial without any
+    # content removal; it is defined up to a unit of F_q(a,b,c)
+    d = ech[-1][pivots[-1]] if pivots else MultiPoly.const(field, names, 1)
+    zero = MultiPoly.zero(field, names)
     basis = []
-    for fcol in free:
-        # fraction-free back-substitution: kernel vectors are projective,
-        # so instead of dividing by a pivot we rescale the whole vector by
-        # it, keeping every entry a polynomial; normalization strips the
-        # accumulated content at the end
-        vec = [MultiPoly.zero(field, names) for _ in range(ncols)]
-        vec[fcol] = MultiPoly.const(field, names, 1)
+    for fcol in range(ncols):
+        if fcol in pivset:
+            continue
+        vec = [zero] * ncols
+        vec[fcol] = d
         for ridx in range(rank - 1, -1, -1):
-            pcol = pivots[ridx]
-            acc = MultiPoly.zero(field, names)
+            pcol, row = pivots[ridx], ech[ridx]
+            acc = zero
             for j in range(pcol + 1, ncols):
-                v = vec[j]
-                if v.is_zero():
-                    continue
-                entry = ech[ridx][j]
-                if entry.is_zero():
-                    continue
-                acc = acc + entry * v
-            piv = ech[ridx][pcol]
-            if not acc.is_zero():
-                if not (piv.is_constant() and piv.constant_value().index == 1):
-                    vec = [v if v.is_zero() else piv * v for v in vec]
-                vec[pcol] = -acc
-        basis.append(_normalize_function_vector(ff, [RationalFunction(v, reduce=False)
-                                                     for v in vec]))
+                if not vec[j].is_zero() and not row[j].is_zero():
+                    acc = acc + row[j] * vec[j]
+            vec[pcol] = (-acc).exact_div(row[pcol])
+        # an F_q scalar makes the leading coefficient of the first entry 1
+        _, lc = next(v for v in vec if not v.is_zero()).leading()
+        unit = MultiPoly.const(field, names, FieldElement(field, lc))
+        basis.append([RationalFunction(v.exact_div(unit), reduce=False) for v in vec])
     forms = [
         HomogeneousForm.from_coeff_vector(mat.ring, mat.nvars, mat.degree, vec, mat.monos)
         for vec in basis
     ]
     return KernelBasis(mat, forms, rank)
-
-
-def _normalize_function_vector(ff: FunctionField, vec):
-    """Clear denominators, strip content, make first nonzero entry lead-monic."""
-    field, names = ff.field, ff.names
-    dens = [v.den for v in vec if not v.is_zero() and not v.den.is_constant()]
-    common = MultiPoly.const(field, names, 1)
-    for d in dens:
-        if isinstance(field, PrimeField):
-            g = mp_gcd(common, d)
-            extra = d.exact_div(g) if not g.is_constant() else d
-        else:
-            extra = d
-        common = common * extra
-    nums = []
-    for v in vec:
-        if v.is_zero():
-            nums.append(MultiPoly.zero(field, names))
-        else:
-            nums.append(v.num * common.exact_div(v.den))
-    if isinstance(field, PrimeField):
-        nonzero = [n for n in nums if not n.is_zero()]
-        if nonzero:
-            content = mp_gcd_list(nonzero)
-            if not content.is_constant():
-                nums = [n if n.is_zero() else n.exact_div(content) for n in nums]
-    lead = next((n for n in nums if not n.is_zero()), None)
-    if lead is not None:
-        _, lc = lead.leading()
-        inv = field.inv_rep(lc)
-        scale = FieldElement(field, inv)
-        nums = [
-            MultiPoly(field, names, {e: field.mul_rep(c, scale.rep) for e, c in n.terms.items()})
-            for n in nums
-        ]
-    return [RationalFunction(n) for n in nums]
 
 
 def kernel_of_conditions(mat: EvaluationMatrix) -> KernelBasis:
@@ -632,8 +597,11 @@ def kernel_of_conditions(mat: EvaluationMatrix) -> KernelBasis:
     return _function_kernel(mat)
 
 
-def matrix_rank_of(mat: EvaluationMatrix) -> int:
-    return kernel_of_conditions(mat).rank
+def condition_rank(mat: EvaluationMatrix) -> int:
+    """Rank of the condition matrix; over F_q(a,b,c) no kernel basis is built."""
+    if mat.ring.finite:
+        return _finite_kernel(mat).rank
+    return len(_bareiss_echelon(mat)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -883,5 +851,4 @@ def hilbert_value(Z, d: int) -> int:
         mat = point_evaluation_matrix(ring, Z.points, d, Z.dim + 1)
     else:
         mat = Z.condition_rows(d)
-    kern = kernel_of_conditions(mat)
-    return mat.ncols - kern.rank
+    return mat.ncols - condition_rank(mat)
