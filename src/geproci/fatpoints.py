@@ -86,10 +86,6 @@ class FatPointScheme:
         )
 
 
-def scheme_conditions(S: FatPointScheme, degree: int, ring: Optional[ScalarRing] = None):
-    return S.condition_rows(degree, ring)
-
-
 def scheme_geproci_check(S: FatPointScheme, alpha: int, beta: int, mode: str = "generic",
                          trials: int = 3, seed: int = 0):
     """CI certification of the projected scheme, lengths with multiplicity."""

@@ -3,10 +3,19 @@
 Elements carry a raw ``rep`` (an int for a prime field, a tuple of
 lower-layer reps for an extension layer) so inner loops can work on plain
 Python data; the :class:`FieldElement` wrapper adds operators on top.
+
+An extension layer of at most ``ZECH_MAX_SIZE`` (2^16) elements multiplies
+and inverts by table lookup.  On first use it finds a primitive element g
+and tabulates exp[i] = g^i and log[g^i] = i; then a*b = exp[log a + log b]
+and 1/a = exp[-log a], with the exponents taken mod q-1.  Reps stay tuples,
+so element indices, spec strings and point files do not change.  Larger
+layers (the random-mode extensions) multiply polynomially, by Kronecker
+packing over a prime base or schoolbook over a tower base, and invert by
+the extended Euclidean algorithm.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import Iterable, Iterator, Sequence
 
 
@@ -251,6 +260,10 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+# Fields up to this size multiply and invert by log/antilog table lookups.
+ZECH_MAX_SIZE = 1 << 16
+
+
 class FieldTower:
     """One extension layer F_s[t]/(m) over a base field of size s."""
 
@@ -273,6 +286,7 @@ class FieldTower:
         if check and not is_irreducible(base, list(self.modulus)):
             raise ReducibleModulus("modulus is reducible over the base field")
         self._kron = self._kron_setup()
+        self._log = self._exp = None  # built on first use, see _tables
 
     def _kron_setup(self):
         """Packed-integer multiplication tables over a prime base field.
@@ -318,7 +332,64 @@ class FieldTower:
         B = self.base
         return tuple(B.neg_rep(x) for x in a)
 
+    def _tables(self):
+        """Build the log/antilog tables (fields of size <= ZECH_MAX_SIZE).
+
+        A primitive element g (g^(q-1) = 1 and g^((q-1)/l) != 1 for every
+        prime l | q-1) is found by index order; exp[i] = g^i and
+        log[g^i] = i.  exp holds the q-1 powers twice, so a sum of two logs
+        needs no reduction, and log maps zero to 2(q-1), past which exp
+        holds only zero: a product with zero is one lookup too.
+        """
+        B, order = self.base, self.size - 1
+        factors = _prime_factors(order)
+
+        def is_one(g, e):
+            return _ppowmod(B, g, e, list(self.modulus)) == [B.one_rep]
+
+        for i in range(1, self.size):
+            g = self.index_to_rep(i)
+            if is_one(g, order) and not any(is_one(g, order // ell) for ell in factors):
+                break
+        else:  # only a ring with zero divisors has no element of order q-1
+            raise ReducibleModulus("modulus is reducible over the base field")
+        exp, log, x = [], {}, self.one_rep
+        for i in range(order):
+            exp.append(x)
+            log[x] = i
+            x = self._mul_poly(x, g)
+        log[self.zero_rep] = 2 * order
+        self._exp = exp + exp + [self.zero_rep] * (2 * order + 1)
+        self._log = log
+        return log
+
     def mul_rep(self, a, b):
+        log = self._log
+        if log is None:
+            if self.size > ZECH_MAX_SIZE:
+                return self._mul_poly(a, b)
+            log = self._tables()
+        try:
+            return self._exp[log[a] + log[b]]
+        except (KeyError, TypeError):  # a non-canonical rep
+            return self._mul_poly(a, b)
+
+    def inv_rep(self, a):
+        log = self._log
+        if log is None:
+            if self.size > ZECH_MAX_SIZE:
+                return self._inv_poly(a)
+            log = self._tables()
+        try:
+            k = log[a]
+        except (KeyError, TypeError):  # a non-canonical rep
+            return self._inv_poly(a)
+        if k == 2 * (self.size - 1):
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self.size - 1 - k]
+
+    def _mul_poly(self, a, b):
+        """Product by polynomial multiplication and reduction."""
         if self._kron is not None:
             p, n, bits, mask, tails = self._kron
             pa = pb = 0
@@ -337,9 +408,9 @@ class FieldTower:
             prod = _pmod(B, prod, list(self.modulus))
         return self._pad(prod)
 
-    def inv_rep(self, a):
+    def _inv_poly(self, a):
+        """Inverse by the extended Euclidean algorithm on (a, modulus)."""
         B = self.base
-        # extended Euclid on (a, modulus)
         r0, r1 = list(self.modulus), _pnorm(list(a))
         if not r1:
             raise ZeroDivisionError("inverse of zero")
@@ -407,13 +478,6 @@ class FieldTower:
     def elements(self) -> Iterator["FieldElement"]:
         for i in range(self.size):
             yield self.from_index(i)
-
-    def degree_over_prime(self) -> int:
-        d, F = 1, self
-        while isinstance(F, FieldTower):
-            d *= F.degree
-            F = F.base
-        return d
 
     def lift_rep(self, sub, rep):
         if sub is self or sub == self:
@@ -571,7 +635,12 @@ class FieldElement:
         return self.rep == other.rep
 
     def __hash__(self):
-        return hash((id(type(self.field)), self.field.size, self.rep))
+        # hash on the smallest tower layer holding the element, so that it
+        # hashes like its equal images in subfields and extensions
+        F, rep = self.field, self.rep
+        while isinstance(F, FieldTower) and rep[1:] == F.zero_rep[1:]:
+            F, rep = F.base, rep[0]
+        return hash((F.size, rep))
 
     def __repr__(self):
         return f"<{self.index} in {self.field!r}>"
@@ -620,8 +689,13 @@ def make_field(p: int, layers: Iterable = (1,)):
     return F
 
 
+@functools.lru_cache(maxsize=None)
 def extend_field(F, m: int) -> FieldTower:
-    """Degree-m extension of F with the smallest irreducible modulus."""
+    """Degree-m extension of F with the smallest irreducible modulus.
+
+    Memoized per (F, m): every call for one field returns the same tower,
+    which then builds its multiplication tables once.
+    """
     if m < 2:
         raise FieldError("extension degree must be >= 2")
     return FieldTower(F, smallest_irreducible(F, m), check=False)
@@ -1089,8 +1163,11 @@ def _rf_reduce(num: MultiPoly, den: MultiPoly):
     if num.is_zero():
         return num, MultiPoly.const(den.field, den.names, 1)
     if den.is_constant():
-        inv = den.field.inv_rep(den.constant_value().rep)
         F = den.field
+        c = den.constant_value().rep
+        if c == F.one_rep:  # already reduced
+            return num, den
+        inv = F.inv_rep(c)
         num = MultiPoly(F, num.names, {e: F.mul_rep(v, inv) for e, v in num.terms.items()})
         return num, MultiPoly.const(F, den.names, 1)
     if isinstance(num.field, PrimeField):

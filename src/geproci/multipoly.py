@@ -267,14 +267,6 @@ def _scalar_str(c) -> str:
     return repr(c)
 
 
-def form_from_exponent_map(ring: ScalarRing, nvars: int, degree: int, coeffs: dict):
-    """Coefficients may be ints; they are coerced through the ring."""
-    return HomogeneousForm(
-        ring, nvars, degree,
-        {e: (ring.const(c) if isinstance(c, int) else c) for e, c in coeffs.items()},
-    )
-
-
 # ---------------------------------------------------------------------------
 # evaluation and derivatives
 
