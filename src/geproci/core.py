@@ -126,14 +126,28 @@ def _secant_lines(Z: PointSet):
 
 
 def _on_line(p: ProjectivePoint, line, E) -> bool:
-    from .projgeom import matrix_rank
+    """Whether p lies on the line, with no elimination.
 
-    rows = [
-        [E.lift_rep(line.field, c) for c in line.rows[0]],
-        [E.lift_rep(line.field, c) for c in line.rows[1]],
-        list(p.reps),
-    ]
-    return matrix_rank(E, rows) == 2
+    The line's RREF rows r0, r1 have pivot columns c0, c1, so p is on the
+    line iff p = p[c0] r0 + p[c1] r1; the two pivot coordinates agree by
+    construction.  The rows lie in the line's field F and E is F or a
+    one-layer extension of it, so each product scales the coordinates of
+    an E element over F by a scalar of F.
+    """
+    F = line.field
+    r0, r1 = line.rows
+    c0 = next(j for j, x in enumerate(r0) if not F.rep_is_zero(x))
+    c1 = next(j for j, x in enumerate(r1) if not F.rep_is_zero(x))
+    coords = [(x,) for x in p.reps] if E == F else p.reps
+    x0, x1 = coords[c0], coords[c1]
+    for j, xj in enumerate(coords):
+        if j == c0 or j == c1:
+            continue
+        a, b = r0[j], r1[j]
+        for x, y0, y1 in zip(xj, x0, x1):
+            if not F.rep_is_zero(F.sub_rep(x, F.add_rep(F.mul_rep(y0, a), F.mul_rep(y1, b)))):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,16 @@ An extension layer of at most ``ZECH_MAX_SIZE`` (2^16) elements multiplies
 and inverts by table lookup.  On first use it finds a primitive element g
 and tabulates exp[i] = g^i and log[g^i] = i; then a*b = exp[log a + log b]
 and 1/a = exp[-log a], with the exponents taken mod q-1.  Reps stay tuples,
-so element indices, spec strings and point files do not change.  Larger
-layers (the random-mode extensions) multiply polynomially, by Kronecker
-packing over a prime base or schoolbook over a tower base, and invert by
-the extended Euclidean algorithm.
+so element indices, spec strings and point files do not change.
+
+Larger layers (the random-mode extensions) invert by the extended
+Euclidean algorithm and multiply polynomially: schoolbook over a tower
+base, and over a prime base by Kronecker packing, one W-bit slot per
+coefficient in one Python int, the product folded back below the modulus
+degree by its high part times the modulus tail.  There `row_reduce`, the
+one finite-field row reduction, also runs on packed ints and reduces the
+slots mod p only where it reads a value.  W comes from a worst-case slot
+bound simulated once per layer.
 """
 from __future__ import annotations
 
@@ -182,6 +188,8 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """F_p with elements represented by ints in range(p)."""
 
+    packed = None  # row_reduce runs its plain loop here
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
@@ -264,6 +272,52 @@ class PrimeField:
 ZECH_MAX_SIZE = 1 << 16
 
 
+class _Packing:
+    """Kronecker packing of F_p[t]/(m): one W-bit slot per coefficient.
+
+    An element c_0 + ... + c_{n-1} t^{n-1} is the integer sum c_i << (W*i),
+    so one big-int product is the whole convolution.  Reduction mod m folds
+    the high part back: with t^n = tail(t) mod m, v -> low(v) + high(v) *
+    tail, repeated until the degree is below n.  Slots are never reduced
+    mod p inside a product or a fold, so all values stay nonnegative and
+    no slot borrows from its neighbour; a slot is reduced only when it is
+    read (see `row_reduce`).
+
+    The slot bound is simulated once per tower on the all-(p-1) inputs,
+    which maximize every slot of the product and of each fold at once:
+    `peak` is the largest slot value anywhere on the way, `final` the
+    largest slot of a folded product, `folds` the number of folds.
+    """
+
+    def __init__(self, p: int, modulus: Sequence[int]):
+        n = len(modulus) - 1
+        tail = [(-c) % p for c in modulus[:n]]
+        while tail and not tail[-1]:
+            tail.pop()
+        v = [min(k + 1, 2 * n - 1 - k) * (p - 1) ** 2 for k in range(2 * n - 1)]
+        peak, folds = max(v), 0
+        while len(v) > n:
+            hi, v = v[n:], v[:n] + [0] * max(0, len(v) - 2 * n + len(tail) - 1)
+            for i, h in enumerate(hi):
+                for j, t in enumerate(tail):
+                    v[i + j] += h * t
+            peak, folds = max(peak, max(v)), folds + 1
+        self.p, self.n, self.tail = p, n, tail
+        self.peak, self.final, self.folds = peak, max(v), folds
+        self._layouts = {}
+        self.mul_layout = self.layout(0)
+
+    def layout(self, acc: int):
+        """Slot layout for values that take up to `acc` folded products on
+        top of a canonical one: (shifts, mask, n*W, low mask, packed tail)."""
+        if acc not in self._layouts:
+            W = max(self.peak, self.p - 1 + acc * self.final).bit_length()
+            nW = self.n * W
+            tail = sum(t << (W * i) for i, t in enumerate(self.tail))
+            self._layouts[acc] = (range(0, nW, W), (1 << W) - 1, nW, (1 << nW) - 1, tail)
+        return self._layouts[acc]
+
+
 class FieldTower:
     """One extension layer F_s[t]/(m) over a base field of size s."""
 
@@ -285,36 +339,11 @@ class FieldTower:
         self.one_rep = tuple(one)
         if check and not is_irreducible(base, list(self.modulus)):
             raise ReducibleModulus("modulus is reducible over the base field")
-        self._kron = self._kron_setup()
+        # prime-base layers multiply on packed ints; the large ones (no
+        # tables) also eliminate on them, see row_reduce
+        self._kron = _Packing(base.p, self.modulus) if isinstance(base, PrimeField) else None
+        self.packed = self._kron if self.size > ZECH_MAX_SIZE else None
         self._log = self._exp = None  # built on first use, see _tables
-
-    def _kron_setup(self):
-        """Packed-integer multiplication tables over a prime base field.
-
-        Coefficients are packed into fixed-width bit slots of one Python
-        integer so one big-int product performs the whole convolution;
-        slot widths are chosen so no slot can overflow into its neighbor
-        during multiplication or modular reduction.
-        """
-        base = self.base
-        if not isinstance(base, PrimeField):
-            return None
-        p, n = base.p, self.degree
-        conv_max = n * (p - 1) ** 2
-        acc_max = conv_max * (1 + (n - 1) * (p - 1))
-        bits = acc_max.bit_length() + 1
-        mask = (1 << bits) - 1
-        # x^(n+k) mod modulus for k = 0..n-2, as packed integers
-        mod = [c % p for c in self.modulus]
-        rem = [(-mod[i]) % p for i in range(n)]  # x^n mod modulus
-        tails = []
-        for _ in range(n - 1):
-            tails.append(sum(c << (bits * i) for i, c in enumerate(rem)))
-            carry = rem[-1]
-            rem = [0] + rem[:-1]
-            if carry:
-                rem = [(rem[i] + carry * ((-mod[i]) % p)) % p for i in range(n)]
-        return (p, n, bits, mask, tails)
 
     def _pad(self, f):
         f = list(f) + [self.base.zero_rep] * (self.degree - len(f))
@@ -390,18 +419,17 @@ class FieldTower:
 
     def _mul_poly(self, a, b):
         """Product by polynomial multiplication and reduction."""
-        if self._kron is not None:
-            p, n, bits, mask, tails = self._kron
+        K = self._kron
+        if K is not None:
+            shifts, mask, nW, low, tail = K.mul_layout
             pa = pb = 0
-            for i in range(n):
-                pa |= a[i] << (bits * i)
-                pb |= b[i] << (bits * i)
-            prod = pa * pb
-            for k in range(n - 1):
-                c = (prod >> (bits * (n + k))) & mask
-                if c:
-                    prod += c * tails[k]
-            return tuple(((prod >> (bits * i)) & mask) % p for i in range(n))
+            for x, y, s in zip(a, b, shifts):
+                pa |= x << s
+                pb |= y << s
+            v = pa * pb
+            for _ in range(K.folds):
+                v = (v & low) + (v >> nW) * tail
+            return tuple(((v >> s) & mask) % K.p for s in shifts)
         B = self.base
         prod = _pmul(B, list(a), list(b))
         if len(prod) >= len(self.modulus):
@@ -425,6 +453,10 @@ class FieldTower:
         return self._pad([B.mul_rep(c, inv) for c in s0])
 
     def rep_is_zero(self, a):
+        # every tuple rep the library builds has reduced entries, so it is
+        # zero iff it equals zero_rep; other sequences are walked
+        if type(a) is tuple:
+            return a == self.zero_rep
         return all(self.base.rep_is_zero(x) for x in a)
 
     def rep_to_index(self, a):
@@ -647,16 +679,162 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# row reduction over a finite field (rows of reps)
+
+def row_reduce(F, rows):
+    """Reduced row echelon form of a matrix of reps over the finite field F.
+
+    Returns (pivots, reduced, det): the pivot columns, the nonzero rows of
+    the RREF as lists of reps, and the determinant, which is the zero rep
+    unless the matrix is square and invertible.  Each pivot is the first
+    nonzero entry of its column at or below the current row.  The RREF is
+    unique, so both paths below give the same result.
+    """
+    if F.packed is not None:
+        return _row_reduce_packed(F, rows)
+    return _row_reduce_loop(F, rows)
+
+
+def _det_of(F, nrows, ncols, pivvals, swaps):
+    if not nrows == ncols == len(pivvals):
+        return F.zero_rep
+    det = F.one_rep
+    for v in pivvals:
+        det = F.mul_rep(det, v)
+    return F.neg_rep(det) if swaps & 1 else det
+
+
+def _row_reduce_loop(F, rows):
+    """Gauss-Jordan on reps through F's own add/mul/inv."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots, pivvals, swaps = [], [], 0
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if not F.rep_is_zero(rows[i][c]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        pivvals.append(rows[r][c])
+        inv = F.inv_rep(rows[r][c])
+        rows[r] = [F.mul_rep(x, inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not F.rep_is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub_rep(x, F.mul_rep(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r], _det_of(F, len(rows), ncols, pivvals, swaps)
+
+
+def _row_reduce_packed(F, rows):
+    """Gauss-Jordan on Kronecker-packed ints with lazily reduced slots.
+
+    Entries are packed ints (see _Packing).  A row update adds f' * y,
+    folded, to each cell, where f' is the negated row multiplier and y the
+    scaled pivot row, both canonical; the cell's slots are left unreduced.
+    Slots are reduced mod p only where a value is read: a pivot test, a row
+    multiplier, the scaled pivot row, and the final unpack.  A cell is
+    updated only by pivots in other rows and in columns left of it, so it
+    takes at most min(rows, cols) - 1 folded products between two
+    reductions, and the slot width is chosen for exactly that many.
+    """
+    K = F.packed
+    p = K.p
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    shifts, mask, nW, low, tail = K.layout(max(min(nrows, ncols) - 1, 0))
+    folds = range(K.folds)
+
+    def canon(v):
+        out = 0
+        for s in shifts:
+            out |= (((v >> s) & mask) % p) << s
+        return out
+
+    def pack(rep):
+        v = 0
+        for x, s in zip(rep, shifts):
+            v |= x << s
+        return v
+
+    def unpack(v):
+        return tuple(((v >> s) & mask) % p for s in shifts)
+
+    M = [[pack(x) for x in row] for row in rows]
+    pivots, pivvals, swaps = [], [], 0
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            v = canon(M[i][c])
+            M[i][c] = v
+            if v:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            swaps += 1
+        prow = M[r]
+        pivvals.append(unpack(prow[c]))
+        inv = pack(F._inv_poly(pivvals[-1]))
+        prow[c] = 1
+        nonzero = []
+        for j in range(c + 1, ncols):
+            x = canon(prow[j])
+            if x:
+                x *= inv
+                for _ in folds:
+                    x = (x & low) + (x >> nW) * tail
+                x = canon(x)
+                nonzero.append((j, x))
+            prow[j] = x
+        for i, row in enumerate(M):
+            v = row[c]
+            if i == r or not v:
+                continue
+            row[c] = 0
+            f = 0
+            for s in shifts:
+                f |= ((-((v >> s) & mask)) % p) << s
+            if not f:
+                continue
+            for j, y in nonzero:
+                t = f * y
+                for _ in folds:
+                    t = (t & low) + (t >> nW) * tail
+                row[j] += t
+        pivots.append(c)
+        r += 1
+    reduced = [[unpack(v) for v in row] for row in M[:r]]
+    return pivots, reduced, _det_of(F, nrows, ncols, pivvals, swaps)
+
+
+# ---------------------------------------------------------------------------
 # construction
 
 def smallest_irreducible(base, degree: int):
     """Lexicographically smallest monic irreducible of given degree.
 
     Candidates are ordered by the canonical index of their coefficient
-    vector (c_0 least significant).
+    vector (c_0 least significant).  The search is memoized per (base,
+    degree); each call returns a fresh list.
     """
+    return list(_smallest_irreducible(base, degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _smallest_irreducible(base, degree: int) -> tuple:
     if degree == 1:
-        return [base.zero_rep, base.one_rep]
+        return (base.zero_rep, base.one_rep)
     for i in range(base.size ** degree):
         coeffs = []
         k = i
@@ -665,7 +843,7 @@ def smallest_irreducible(base, degree: int):
             coeffs.append(base.index_to_rep(r))
         cand = coeffs + [base.one_rep]
         if is_irreducible(base, cand):
-            return cand
+            return tuple(cand)
     raise FieldError("no irreducible polynomial found")  # unreachable
 
 

@@ -2,8 +2,9 @@
 and coprimality certification via resultants.
 
 Scalars are either :class:`FieldElement` (finite coefficient field) or
-:class:`RationalFunction` (generic-point mode).  Finite-field matrices are
-reduced by plain Gaussian elimination.  Function-field condition matrices
+:class:`RationalFunction` (generic-point mode).  Finite-field matrices,
+condition matrices and Sylvester matrices alike, go through
+:func:`geproci.fields.row_reduce`.  Function-field condition matrices
 have polynomial entries in F_q[a,b,c]; they go through fraction-free
 (Bareiss) forward elimination, and their kernel vectors come from an exact
 Cramer back-substitution, so every entry is a minor of the matrix and no
@@ -22,6 +23,7 @@ from .fields import (
     FunctionField,
     MultiPoly,
     RationalFunction,
+    row_reduce,
 )
 from .projgeom import PointSet
 
@@ -448,27 +450,8 @@ class KernelBasis:
 
 def _finite_kernel(mat: EvaluationMatrix):
     F = mat.ring.field
-    rows = [[c.rep for c in row] for row in mat.rows]
+    pivots, rows, _ = row_reduce(F, [[c.rep for c in row] for row in mat.rows])
     ncols = mat.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not F.rep_is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv_rep(rows[r][c])
-        rows[r] = [F.mul_rep(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.rep_is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub_rep(x, F.mul_rep(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in set(pivots)]
     basis = []
@@ -662,7 +645,12 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
         for j, c in enumerate(reversed(b)):
             row[i + j] = c
         rows.append(row)
-    # determinant by Gaussian elimination over the scalar field
+    if ring.finite:
+        # a shear or test point may lie in an extension of ring.field
+        E = max((c.field for c in a + b), key=lambda F: F.size)
+        reps = [[E.lift_rep(c.field, c.rep) for c in row] for row in rows]
+        return FieldElement(E, row_reduce(E, reps)[2])
+    # determinant by Gaussian elimination over the function field
     det = ring.one()
     neg = False
     for c in range(size):

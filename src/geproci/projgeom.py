@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .fields import FieldElement, FieldError, parse_field_spec
+from .fields import FieldElement, FieldError, parse_field_spec, row_reduce
 
 DEFAULT_POINT_CAP = 10 ** 7
 
@@ -20,40 +20,8 @@ class TooLarge(GeometryError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# small exact linear algebra over a finite field (rows of FieldElement reps)
-
-def _row_rref(field, rows):
-    """RREF of a list of rep-rows; returns (pivot_cols, reduced nonzero rows)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not field.rep_is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv_rep(rows[r][c])
-        rows[r] = [field.mul_rep(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.rep_is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub_rep(x, field.mul_rep(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, rows[:r]
-
-
 def matrix_rank(field, rows) -> int:
-    if not rows:
-        return 0
-    pivots, _ = _row_rref(field, rows)
-    return len(pivots)
+    return len(row_reduce(field, rows)[0])
 
 
 class ProjectivePoint:
@@ -114,7 +82,7 @@ class ProjectiveLine3:
         rep_rows = []
         for row in rows:
             rep_rows.append([field.element(c).rep for c in row])
-        pivots, reduced = _row_rref(field, rep_rows)
+        _, reduced, _ = row_reduce(field, rep_rows)
         if len(reduced) != 2:
             raise GeometryError("line requires a rank-2 spanning set")
         self.field = field

@@ -1,10 +1,18 @@
 """General projections, Frobenius cones, unexpectedness, certification."""
+import random
+
 import pytest
 
 from geproci import core
-from geproci.fields import parse_field_spec
+from geproci.fields import extend_field, parse_field_spec
 from geproci.multipoly import evaluate, scalar_is_zero, ScalarRing
-from geproci.projgeom import PointSet, all_lines, enumerate_projective_space
+from geproci.projgeom import (
+    PointSet,
+    ProjectivePoint,
+    all_lines,
+    enumerate_projective_space,
+    matrix_rank,
+)
 from geproci.spreads import complement_points
 
 
@@ -20,6 +28,49 @@ def test_random_point_avoids_secants(F2, P3F2):
     assert P.m >= 31  # 2^m >= 2^31
     S = core.project(P3F2, P)  # would raise CollisionDetected on a secant
     assert S.length == 15
+
+
+def _rank_on_line(p, line, E):
+    rows = [[E.lift_rep(line.field, c) for c in row] for row in line.rows]
+    return matrix_rank(E, rows + [list(p.reps)]) == 2
+
+
+def test_on_line_agrees_with_rank_test(forty_points_q7):
+    Z = forty_points_q7
+    F = Z.field
+    E = extend_field(F, 12)
+    secants = core._secant_lines(Z)
+    rng = random.Random(5)
+    for _ in range(3):
+        p = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
+        for line in secants:
+            assert core._on_line(p, line, E) == _rank_on_line(p, line, E)
+    # points built on a secant are on it; in E and in the line's own field
+    for line in secants[::10]:
+        r0, r1 = ([E.lift_rep(F, c) for c in row] for row in line.rows)
+        for _ in range(3):
+            s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
+            p = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
+                                    for x, y in zip(r0, r1)])
+            assert core._on_line(p, line, E) and _rank_on_line(p, line, E)
+        for p in Z.points:
+            assert core._on_line(p, line, F) == _rank_on_line(p, line, F)
+        assert sum(core._on_line(p, line, F) for p in line.points()) == F.size + 1
+
+
+def test_on_line_over_a_tower_base(F4):
+    Z = PointSet(F4, list(enumerate_projective_space(F4, 3))[:12], 3)
+    E = extend_field(F4, 3)
+    rng = random.Random(2)
+    for line in core._secant_lines(Z):
+        r0, r1 = ([E.lift_rep(F4, c) for c in row] for row in line.rows)
+        s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
+        on = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
+                                 for x, y in zip(r0, r1)])
+        off = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
+        for p in (on, off):
+            assert core._on_line(p, line, E) == _rank_on_line(p, line, E)
+        assert core._on_line(on, line, E)
 
 
 def test_projection_images_and_collision(F2, P3F2):

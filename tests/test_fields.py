@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from geproci import fields
 from geproci.fields import (
     ZECH_MAX_SIZE,
     FieldError,
@@ -15,10 +16,15 @@ from geproci.fields import (
     extend_field,
     field_degree_over_prime,
     frobenius,
+    is_irreducible,
     make_field,
     mp_gcd,
     parse_field_spec,
+    PrimeField,
+    row_reduce,
+    smallest_irreducible,
 )
+from geproci.multipoly import ScalarRing, _univariate_resultant
 
 TOWERS = ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2", "p=2;ext=2;ext=2"]
 
@@ -205,3 +211,198 @@ def test_equal_elements_of_a_tower_hash_alike():
     lifted = F16.element(x)
     assert x == lifted and hash(x) == hash(lifted)
     assert len({x, lifted, F16.from_index(3)}) == 2
+
+
+# ---------------------------------------------------------------------------
+# row_reduce: the packed path of the large prime-base layers against the loop
+
+PACKED = ["p=7;ext=12", "p=3;ext=20", "p=2;ext=31",
+          "p=3;mod=2,1,2,2,1,2,1,1,1,1,2,1"]  # dense modulus: n - 1 = 10 folds
+
+
+def _packed_field(spec):
+    E = parse_field_spec(spec)
+    assert E.size > ZECH_MAX_SIZE and E.packed is not None
+    return E
+
+
+def _random_matrix(E, rng, nrows, ncols, rank=None):
+    """Random rep matrix; with `rank`, rows beyond it are combinations."""
+    rows = [[E.index_to_rep(rng.randrange(E.size)) for _ in range(ncols)]
+            for _ in range(nrows if rank is None else rank)]
+    while len(rows) < nrows:
+        coeffs = [E.index_to_rep(rng.randrange(E.size)) for _ in range(rank)]
+        row = [E.zero_rep] * ncols
+        for k, src in zip(coeffs, rows):
+            row = [E.add_rep(x, E.mul_rep(k, y)) for x, y in zip(row, src)]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    return rows
+
+
+def _all_max(E):
+    """The element whose coordinates are all p - 1, the slot-bound worst case."""
+    return tuple([E.base.p - 1] * E.degree)
+
+
+@pytest.mark.parametrize("spec", PACKED)
+def test_packed_product_matches_schoolbook(spec):
+    E = _packed_field(spec)
+    B, mod = E.base, list(E.modulus)
+    rng = random.Random(3)
+    pairs = [(_all_max(E), _all_max(E))]
+    pairs += [(E.index_to_rep(rng.randrange(E.size)), E.index_to_rep(rng.randrange(E.size)))
+              for _ in range(200)]
+    for a, b in pairs:
+        want = E._pad(fields._pmod(B, fields._pmul(B, list(a), list(b)), mod))
+        assert E._mul_poly(a, b) == want
+
+
+@pytest.mark.parametrize("spec", PACKED)
+@pytest.mark.parametrize("shape", [(3, 4), (7, 7), (9, 6), (12, 15)])
+def test_row_reduce_packed_matches_loop(spec, shape):
+    E = _packed_field(spec)
+    rng = random.Random(hash(shape))
+    nrows, ncols = shape
+    for rank in (None, min(shape) - 2, 1):
+        rows = _random_matrix(E, rng, nrows, ncols, rank)
+        got = row_reduce(E, rows)
+        assert got == fields._row_reduce_loop(E, rows)
+        assert len(got[0]) == (min(shape) if rank is None else rank)
+
+
+@pytest.mark.parametrize("spec", PACKED[:3])
+def test_row_reduce_packed_matches_loop_at_kernel_shapes(spec):
+    # the random-mode condition matrices of the 40-point set: 40x21, 40x45
+    E = _packed_field(spec)
+    rng = random.Random(7)
+    for nrows, ncols, rank in ((40, 21, 20), (40, 45, 34)):
+        rows = _random_matrix(E, rng, nrows, ncols, rank)
+        assert row_reduce(E, rows) == fields._row_reduce_loop(E, rows)
+
+
+@pytest.mark.parametrize("spec", PACKED)
+def test_row_reduce_worst_case_slots(spec):
+    E = _packed_field(spec)
+    m = _all_max(E)
+    # all entries p - 1 at the largest shape used: rank 1
+    rows = [[m] * 45 for _ in range(40)]
+    got = row_reduce(E, rows)
+    assert got == fields._row_reduce_loop(E, rows) and got[0] == [0]
+    # a cell that takes min(rows, cols) - 1 folded products m * m on top of m
+    # with no reduction in between: rows e_i | m over rows -m ... -m | m
+    k = 39
+    neg = E.neg_rep(m)
+    rows = [[E.one_rep if j == i else E.zero_rep for j in range(k)] + [m] for i in range(k)]
+    rows.append([neg] * k + [m])
+    got = row_reduce(E, rows)
+    assert got == fields._row_reduce_loop(E, rows)
+    want = E.add_rep(m, E.mul_rep(E.index_to_rep(k % E.char), E.mul_rep(m, m)))
+    assert got[2] == want  # det: the last pivot, m + k m^2
+
+
+@pytest.mark.parametrize("spec", ["p=7", "p=3;ext=2", "p=7;ext=12", "p=2;ext=31"])
+def test_row_reduce_edge_inputs(spec):
+    E = parse_field_spec(spec)
+    z, one = E.zero_rep, E.one_rep
+    assert row_reduce(E, []) == ([], [], one)  # det of the empty matrix
+    assert row_reduce(E, [[z, z, z], [z, z, z]]) == ([], [], z)
+    x = E.from_index(E.size - 2).rep
+    single = row_reduce(E, [[z, x, x]])
+    assert single == ([1], [[z, one, one]], z)
+    assert single == fields._row_reduce_loop(E, [[z, x, x]])
+    dup = [[one, x], [one, x]]
+    assert row_reduce(E, dup) == ([0], [[one, x]], z)
+    assert row_reduce(E, [[z, one], [one, z]]) == ([0, 1], [[one, z], [z, one]], E.neg_rep(one))
+
+
+def _reference_det(rows):
+    """Determinant by forward elimination on FieldElements."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = rows[0][0].field.one() if rows else None
+    for c in range(n):
+        piv = next((r for r in range(c, n) if not rows[r][c].is_zero()), None)
+        if piv is None:
+            return det.field.zero()
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        for r in range(c + 1, n):
+            fac = rows[r][c] / rows[c][c]
+            rows[r] = [x - fac * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("spec", ["p=7", "p=2;ext=2;ext=2", "p=7;ext=12", "p=3;ext=20"])
+def test_resultant_is_the_sylvester_determinant(spec):
+    E = parse_field_spec(spec)
+    ring = ScalarRing(E)
+    rng = random.Random(11)
+
+    def poly(deg):
+        coeffs = [E.from_index(rng.randrange(E.size)) for _ in range(deg)]
+        return coeffs + [E.from_index(rng.randrange(1, E.size))]
+
+    for da, db in ((1, 1), (2, 3), (5, 8), (4, 4)):
+        a, b = poly(da), poly(db)
+        size = da + db
+        sylvester = []
+        for i in range(db):
+            sylvester.append([E.zero()] * i + a[::-1] + [E.zero()] * (size - i - da - 1))
+        for i in range(da):
+            sylvester.append([E.zero()] * i + b[::-1] + [E.zero()] * (size - i - db - 1))
+        assert _univariate_resultant(a, b, ring) == _reference_det(sylvester)
+    # a common root makes the resultant vanish
+    r = E.from_index(5)
+    a = [E.zero() - r, E.one()]
+    b = [E.zero() - r * r, E.zero(), E.one()]
+    assert _univariate_resultant(a, b, ring).is_zero()
+
+
+def test_resultant_with_coefficients_in_an_extension():
+    F = parse_field_spec("p=2")
+    E = extend_field(F, 5)
+    ring = ScalarRing(F)
+    t = E.from_index(9)
+    a = [F.one(), t, F.one()]  # mixed fields, as after a shear from distinct_scalars
+    b = [t * t, F.one()]
+    lifted = [E.element(c) for c in a], [E.element(c) for c in b]
+    assert _univariate_resultant(a, b, ring) == _univariate_resultant(*lifted, ScalarRing(E))
+    # Res(a, x - s) = a(s) for monic linear b
+    s = t * t
+    assert _univariate_resultant(a, [s, F.one()], ring) == a[0] + a[1] * s + a[2] * s * s
+
+
+# ---------------------------------------------------------------------------
+# rep_is_zero and smallest_irreducible
+
+def _structural_is_zero(F, a):
+    if isinstance(F, FieldTower):
+        return all(_structural_is_zero(F.base, x) for x in a)
+    return a % F.p == 0
+
+
+@pytest.mark.parametrize("spec", ["p=2;ext=2", "p=3;ext=2", "p=2;ext=2;ext=2"])
+def test_rep_is_zero_fast_path_agrees_with_structure(spec):
+    F = parse_field_spec(spec)
+    for x in F.elements():
+        assert F.rep_is_zero(x.rep) == _structural_is_zero(F, x.rep) == (x.index == 0)
+    # list reps, reduced or not, are walked
+    assert F.rep_is_zero(list(F.zero_rep))
+    assert not F.rep_is_zero(list(F.one_rep))
+    if isinstance(F.base, PrimeField):
+        assert F.rep_is_zero([F.char] + [0] * (F.degree - 1))
+        assert not F.rep_is_zero([F.char + 1] + [0] * (F.degree - 1))
+    else:
+        assert F.rep_is_zero([list(F.base.zero_rep)] * F.degree)
+
+
+def test_smallest_irreducible_is_memoized_and_fresh():
+    F = parse_field_spec("p=3")
+    first = smallest_irreducible(F, 4)
+    assert first == smallest_irreducible(parse_field_spec("p=3"), 4)
+    assert fields._smallest_irreducible.cache_info().hits >= 1
+    first.append(99)
+    assert smallest_irreducible(F, 4) == first[:-1]
+    assert is_irreducible(F, smallest_irreducible(F, 4))
