@@ -32,7 +32,7 @@ def _load_points(path: str) -> PointSet:
 
 
 def _default_mode(field) -> str:
-    # function-field elimination cost grows quickly with q
+    # the F_q[a,b,c] elimination cost of generic mode grows quickly with q
     return "generic" if field.size <= 3 else "random"
 
 
@@ -179,12 +179,11 @@ def cmd_cones_frobenius(args, report):
     cone = core.frobenius_cone(F, P)
     membership = core.frobenius_membership_check(F, P)
     trans = core.cone_line_transversality(cone, F)
-    sr = ScalarRing(P.ring)
     van = True
     from .multipoly import evaluate, scalar_is_zero
 
     for pt in enumerate_projective_space(F, 3):
-        coords = sr.coerce_point_coords(pt)
+        coords = P.ring.coerce_point_coords(pt)
         if not scalar_is_zero(evaluate(cone, coords)):
             van = False
             break

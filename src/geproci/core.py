@@ -5,8 +5,9 @@ a general point P onto the plane w=0, and decide whether the image is the
 complete intersection of curves of degrees (alpha, beta).
 
 Two working modes:
-  GENERIC — P = (a,b,c,1) with a,b,c independent transcendentals; all
-            linear algebra runs over F_q(a,b,c); verdicts are conclusive.
+  GENERIC — P = (a,b,c,1) with a,b,c independent transcendentals; every
+            scalar is a polynomial in F_q[a,b,c] and all linear algebra is
+            fraction-free; verdicts are conclusive.
   RANDOM  — P sampled from a large extension F_{q^m} with a seed; positive
             verdicts are probabilistic (bound reported), negative verdicts
             are conclusive by semicontinuity.
@@ -18,13 +19,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .fields import (
-    FieldElement,
-    FunctionField,
-    MultiPoly,
-    RationalFunction,
-    extend_field,
-)
+from .fields import FieldElement, MultiPoly, extend_field
 from .multipoly import (
     CommonFactor,
     CoprimalityWitness,
@@ -90,10 +85,9 @@ class GeneralPoint:
 
     @classmethod
     def generic(cls, field) -> "GeneralPoint":
-        ff = FunctionField(field, ("a", "b", "c"))
-        ring = ScalarRing(ff)
-        a, b, c = ff.gens()
-        return cls("generic", ring, [a, b, c, ff.one()])
+        ring = ScalarRing(field, names=("a", "b", "c"))
+        a, b, c = ring.gens()
+        return cls("generic", ring, [a, b, c, ring.one()])
 
     @classmethod
     def random(cls, field, seed: int, avoid: Optional[PointSet] = None) -> "GeneralPoint":
@@ -237,10 +231,6 @@ def interpolate_curve(S: ProjectedScheme, degree: int) -> KernelBasis:
 # ---------------------------------------------------------------------------
 # Frobenius cone
 
-def _scalar_pow_q(x, q):
-    return x ** q
-
-
 def frobenius_cone(field, P: GeneralPoint) -> HomogeneousForm:
     """det of rows (a,b,c,d), (a^q,..), (x,y,z,w), (x^q,..), degree q+1.
 
@@ -250,7 +240,7 @@ def frobenius_cone(field, P: GeneralPoint) -> HomogeneousForm:
     q = field.size
     ring = P.ring
     p = P.coords
-    pq = [_scalar_pow_q(c, q) for c in p]
+    pq = [c ** q for c in p]
     coeffs: dict = {}
 
     def add_term(exps, c):
@@ -383,21 +373,15 @@ def cone_line_transversality(F: HomogeneousForm, field) -> TransversalityReport:
 
 
 def _lift_form(F: HomogeneousForm, E) -> HomogeneousForm:
-    """Re-express a form over F_q(a,b,c) as a form over F_{q^2}(a,b,c)."""
+    """Re-express a form over F_q (or F_q[a,b,c]) as one over E (or E[a,b,c])."""
     ring = F.ring
+    new_ring = ScalarRing(E, ring.names)
     if ring.finite:
-        new_ring = ScalarRing(E)
         return F.map_coefficients(
             lambda c: FieldElement(E, E.lift_rep(c.field, c.rep)), new_ring
         )
-    ff = FunctionField(E, ring.function_field.names)
-    new_ring = ScalarRing(ff)
-
-    def lift_poly(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(E, p.names, {e: E.lift_rep(p.field, c) for e, c in p.terms.items()})
-
     return F.map_coefficients(
-        lambda c: RationalFunction(lift_poly(c.num), lift_poly(c.den), reduce=False),
+        lambda c: MultiPoly(E, c.names, {e: E.lift_rep(c.field, v) for e, v in c.terms.items()}),
         new_ring,
     )
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic: prime fields, extension towers, and rational functions.
+"""Exact arithmetic: prime fields, extension towers, and polynomials over them.
 
 Elements carry a raw ``rep`` (an int for a prime field, a tuple of
 lower-layer reps for an extension layer) so inner loops can work on plain
@@ -18,6 +18,11 @@ degree by its high part times the modulus tail.  There `row_reduce`, the
 one finite-field row reduction, also runs on packed ints and reduces the
 slots mod p only where it reads a value.  W comes from a worst-case slot
 bound simulated once per layer.
+
+:class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
+mode works in F_q[a,b,c] with these polynomials as its scalars: projected
+coordinates are polynomials in a, b, c, so no fraction and no polynomial
+gcd is ever needed.
 """
 from __future__ import annotations
 
@@ -42,10 +47,6 @@ class NotASubfield(FieldError):
 
 
 class WrongCharacteristic(FieldError):
-    pass
-
-
-class UnsupportedFieldOperation(FieldError):
     pass
 
 
@@ -943,20 +944,7 @@ def parse_field_spec(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials over a (finite) coefficient field
-
-_SYMPY_RINGS: dict = {}
-
-
-def _sympy_ring(p: int, names: tuple):
-    key = (p, names)
-    if key not in _SYMPY_RINGS:
-        from sympy.polys.rings import ring as _ring
-        from sympy.polys.domains import GF
-        R, *gens = _ring(",".join(names), GF(p))
-        _SYMPY_RINGS[key] = R
-    return _SYMPY_RINGS[key]
-
+# sparse multivariate polynomials over a finite coefficient field
 
 class MultiPoly:
     """Sparse multivariate polynomial; coefficients are raw field reps."""
@@ -1007,14 +995,6 @@ class MultiPoly:
         """(exps, rep) of the graded-lex leading term."""
         key = max(self.terms, key=lambda e: (sum(e), e))
         return key, self.terms[key]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        _, c = self.leading()
-        inv = self.field.inv_rep(c)
-        F = self.field
-        return MultiPoly(F, self.names, {e: F.mul_rep(v, inv) for e, v in self.terms.items()})
 
     # arithmetic -------------------------------------------------------
     def _coerce(self, other):
@@ -1164,35 +1144,6 @@ class MultiPoly:
         return poly_str(self)
 
 
-def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    F = f.field
-    if not isinstance(F, PrimeField):
-        raise UnsupportedFieldOperation("multivariate gcd needs a prime coefficient field")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    R = _sympy_ring(F.p, f.names)
-    a = R.from_dict({e: int(c) for e, c in f.terms.items()})
-    b = R.from_dict({e: int(c) for e, c in g.terms.items()})
-    h = a.gcd(b)
-    out = {tuple(e): int(c) % F.p for e, c in h.to_dict().items()}
-    return MultiPoly(F, f.names, {e: c for e, c in out.items() if c}).monic()
-
-
-def mp_gcd_list(polys: Sequence[MultiPoly]) -> MultiPoly:
-    g = None
-    for f in polys:
-        if f.is_zero():
-            continue
-        g = f.monic() if g is None else mp_gcd(g, f)
-        if g.is_constant():
-            break
-    if g is None:
-        raise ZeroDivisionError("gcd of all-zero list")
-    return g
-
-
 def poly_str(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
@@ -1210,176 +1161,3 @@ def poly_str(f: MultiPoly) -> str:
         else:
             parts.append(f"{idx} {mono}")
     return " + ".join(parts)
-
-
-class RationalFunction:
-    """num/den with MultiPoly parts; denominator nonzero.
-
-    Over prime coefficient fields fractions are kept reduced with a monic
-    (graded-lex) denominator, making equality testing syntactic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly = None, reduce: bool = True):
-        if den is None:
-            den = MultiPoly.const(num.field, num.names, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce:
-            num, den = _rf_reduce(num, den)
-        self.num = num
-        self.den = den
-
-    # helpers ----------------------------------------------------------
-    @property
-    def field(self):
-        return self.num.field
-
-    @property
-    def names(self):
-        return self.num.names
-
-    @classmethod
-    def const(cls, field, names, value):
-        return cls(MultiPoly.const(field, names, value))
-
-    @classmethod
-    def var(cls, field, names, name):
-        return cls(MultiPoly.var(field, names, name))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, MultiPoly):
-            return RationalFunction(other)
-        if isinstance(other, (int, FieldElement)):
-            return RationalFunction.const(self.field, self.names, other)
-        return None
-
-    # arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return RationalFunction(self.den, self.num) ** (-e)
-        return RationalFunction(self.num ** e, self.den ** e, reduce=False)
-
-    def inverse(self):
-        return RationalFunction(self.den, self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den) == (o.num * self.den)
-
-    def __hash__(self):
-        return hash((hash(self.num), hash(self.den)))
-
-    def eval(self, values: Sequence[FieldElement]) -> FieldElement:
-        d = self.den.eval(values)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(values) / d
-
-    def __repr__(self):
-        if self.den.is_constant():
-            c = self.den.constant_value()
-            if c.index == 1:
-                return poly_str(self.num)
-        return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
-
-
-def _rf_reduce(num: MultiPoly, den: MultiPoly):
-    if num.is_zero():
-        return num, MultiPoly.const(den.field, den.names, 1)
-    if den.is_constant():
-        F = den.field
-        c = den.constant_value().rep
-        if c == F.one_rep:  # already reduced
-            return num, den
-        inv = F.inv_rep(c)
-        num = MultiPoly(F, num.names, {e: F.mul_rep(v, inv) for e, v in num.terms.items()})
-        return num, MultiPoly.const(F, den.names, 1)
-    if isinstance(num.field, PrimeField):
-        g = mp_gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-    # monic denominator convention
-    _, lead = den.leading()
-    inv = den.field.inv_rep(lead)
-    F = den.field
-    scale = lambda f: MultiPoly(F, f.names, {e: F.mul_rep(v, inv) for e, v in f.terms.items()})
-    return scale(num), scale(den)
-
-
-class FunctionField:
-    """F_q(a, b, c, ...): convenience wrapper producing RationalFunction values."""
-
-    def __init__(self, field, names: Sequence[str] = ("a", "b", "c")):
-        self.field = field
-        self.names = tuple(names)
-        self.char = field.char
-
-    def gens(self) -> tuple:
-        return tuple(RationalFunction.var(self.field, self.names, n) for n in self.names)
-
-    def const(self, value) -> RationalFunction:
-        return RationalFunction.const(self.field, self.names, value)
-
-    def zero(self):
-        return self.const(0)
-
-    def one(self):
-        return self.const(1)
-
-    def __repr__(self):
-        return f"{self.field!r}({', '.join(self.names)})"

@@ -1,15 +1,15 @@
-"""Homogeneous forms over a pluggable coefficient field, exact kernels,
+"""Homogeneous forms over a pluggable scalar ring, exact kernels,
 and coprimality certification via resultants.
 
-Scalars are either :class:`FieldElement` (finite coefficient field) or
-:class:`RationalFunction` (generic-point mode).  Finite-field matrices,
-condition matrices and Sylvester matrices alike, go through
-:func:`geproci.fields.row_reduce`.  Function-field condition matrices
-have polynomial entries in F_q[a,b,c]; they go through fraction-free
-(Bareiss) forward elimination, and their kernel vectors come from an exact
-Cramer back-substitution, so every entry is a minor of the matrix and no
-polynomial gcd is ever taken.  A kernel form is defined up to a unit of
-F_q(a,b,c); only its leading F_q coefficient is normalized.
+Scalars are either :class:`FieldElement` (a finite field F_q) or
+:class:`MultiPoly` (the polynomial ring F_q[a,b,c] of generic-point mode).
+Finite-field matrices, condition matrices and Sylvester matrices alike, go
+through :func:`geproci.fields.row_reduce`.  Condition matrices over
+F_q[a,b,c] go through fraction-free (Bareiss) forward elimination, and
+their kernel vectors come from an exact Cramer back-substitution, so every
+entry is a minor of the matrix and no polynomial gcd is ever taken.  A
+kernel form is defined up to a unit of F_q(a,b,c); only its leading F_q
+coefficient is normalized.
 """
 from __future__ import annotations
 
@@ -20,9 +20,10 @@ from typing import Optional
 
 from .fields import (
     FieldElement,
-    FunctionField,
+    FieldTower,
     MultiPoly,
-    RationalFunction,
+    PrimeField,
+    extend_field,
     row_reduce,
 )
 from .projgeom import PointSet
@@ -50,78 +51,59 @@ class ZeroInput(PolyError):
 # scalar rings
 
 class ScalarRing:
-    """Adapter unifying finite-field and function-field coefficients."""
+    """Scalars of a finite field F, or of the polynomial ring F[names].
 
-    def __init__(self, obj):
-        if isinstance(obj, FunctionField):
-            self.function_field = obj
-            self.field = obj.field
-            self.finite = False
-        else:
-            self.function_field = None
-            self.field = obj
-            self.finite = True
+    ``ScalarRing(F)`` has :class:`FieldElement` scalars;
+    ``ScalarRing(F, names=("a", "b", "c"))`` has :class:`MultiPoly` ones.
+    """
+
+    def __init__(self, field, names: tuple = ()):
+        if not isinstance(field, (PrimeField, FieldTower)):
+            raise TypeError(f"ScalarRing needs a finite field, not {type(field).__name__}")
+        self.field = field
+        self.names = tuple(names)
+        self.finite = not self.names
 
     def zero(self):
         if self.finite:
             return self.field.zero()
-        return self.function_field.zero()
+        return MultiPoly.zero(self.field, self.names)
 
     def one(self):
         if self.finite:
             return self.field.one()
-        return self.function_field.one()
+        return MultiPoly.const(self.field, self.names, 1)
 
     def const(self, v):
         if self.finite:
             return self.field.element(v)
-        return self.function_field.const(v)
+        return MultiPoly.const(self.field, self.names, v)
+
+    def gens(self) -> tuple:
+        return tuple(MultiPoly.var(self.field, self.names, n) for n in self.names)
 
     def coerce_point_coords(self, point) -> list:
         """Coordinates of a ProjectivePoint as scalars of this ring."""
         coords = point.coords if hasattr(point, "coords") else list(point)
-        out = []
-        for c in coords:
-            if isinstance(c, (int, FieldElement)) and not self.finite:
-                out.append(self.const(c))
-            elif isinstance(c, int):
-                out.append(self.const(c))
-            else:
-                out.append(c)
-        return out
+        lift = (int,) if self.finite else (int, FieldElement)
+        return [self.const(c) if isinstance(c, lift) else c for c in coords]
 
     def distinct_scalars(self, n: int) -> list:
-        """n pairwise distinct scalars, deterministic canonical order."""
-        if self.finite:
-            F = self.field
-            if F.size >= n:
-                return [F.from_index(i) for i in range(n)]
-            from .fields import extend_field
-            m = 2
-            while F.size ** m < n:
-                m += 1
-            E = extend_field(F, m)
-            return [E.from_index(i) for i in range(n)]
-        # powers of the first generator variable are pairwise distinct
-        ff = self.function_field
-        out = [ff.zero(), ff.one()]
-        a = ff.gens()[0]
-        t = a
-        while len(out) < n:
-            out.append(t)
-            t = t * a
-        return out[:n]
-
-    @property
-    def char(self):
-        return self.field.char
+        """n pairwise distinct field elements, deterministic canonical order."""
+        F = self.field
+        if F.size >= n:
+            return [F.from_index(i) for i in range(n)]
+        m = 2
+        while F.size ** m < n:
+            m += 1
+        E = extend_field(F, m)
+        return [E.from_index(i) for i in range(n)]
 
     def __eq__(self, other):
         return (
             isinstance(other, ScalarRing)
-            and self.finite == other.finite
             and self.field == other.field
-            and (self.finite or self.function_field.names == other.function_field.names)
+            and self.names == other.names
         )
 
 
@@ -253,7 +235,7 @@ class HomogeneousForm:
                 parts.append(cs)
             elif cs == "1":
                 parts.append(mono)
-            elif " " in cs or "/" in cs:
+            elif " " in cs:
                 parts.append(f"({cs}) {mono}")
             else:
                 parts.append(f"{cs} {mono}")
@@ -468,20 +450,6 @@ def _finite_kernel(mat: EvaluationMatrix):
     return KernelBasis(mat, forms, rank)
 
 
-def _to_poly_rows(mat: EvaluationMatrix):
-    """Condition rows as MultiPoly rows.
-
-    Projected coordinates are polynomials in the transcendentals, so every
-    condition entry is one; a non-constant denominator is a caller error.
-    """
-    rows = []
-    for row in mat.rows:
-        if any(not c.den.is_constant() for c in row):
-            raise PolyError("condition entry with a non-constant denominator")
-        rows.append([c.num.exact_div(c.den) for c in row])
-    return rows
-
-
 def _bareiss_echelon(mat: EvaluationMatrix):
     """Fraction-free elimination; returns (pivot_cols, echelon poly rows).
 
@@ -489,11 +457,9 @@ def _bareiss_echelon(mat: EvaluationMatrix):
     input, so its pivot in the last row is the r x r minor on the pivot
     columns.
     """
-    ff = mat.ring.function_field
-    field, names = ff.field, ff.names
-    rows = _to_poly_rows(mat)
-    ncols = len(rows[0]) if rows else 0
-    prev = MultiPoly.const(field, names, 1)
+    rows = list(mat.rows)  # rows are replaced below, never mutated
+    ncols = mat.ncols
+    prev = mat.ring.one()
     pivots = []
     r = 0
     for c in range(ncols):
@@ -527,9 +493,8 @@ def _bareiss_echelon(mat: EvaluationMatrix):
     return pivots, rows[:r]
 
 
-def _function_kernel(mat: EvaluationMatrix):
-    ff = mat.ring.function_field
-    field, names = ff.field, ff.names
+def _polynomial_kernel(mat: EvaluationMatrix):
+    ring = mat.ring
     pivots, ech = _bareiss_echelon(mat)
     rank = len(pivots)
     ncols = mat.ncols
@@ -539,8 +504,8 @@ def _function_kernel(mat: EvaluationMatrix):
     # pivot entry of the kernel vector is an r x r minor as well, so each
     # division below is exact and the vector is polynomial without any
     # content removal; it is defined up to a unit of F_q(a,b,c)
-    d = ech[-1][pivots[-1]] if pivots else MultiPoly.const(field, names, 1)
-    zero = MultiPoly.zero(field, names)
+    d = ech[-1][pivots[-1]] if pivots else ring.one()
+    zero = ring.zero()
     basis = []
     for fcol in range(ncols):
         if fcol in pivset:
@@ -556,8 +521,8 @@ def _function_kernel(mat: EvaluationMatrix):
             vec[pcol] = (-acc).exact_div(row[pcol])
         # an F_q scalar makes the leading coefficient of the first entry 1
         _, lc = next(v for v in vec if not v.is_zero()).leading()
-        unit = MultiPoly.const(field, names, FieldElement(field, lc))
-        basis.append([RationalFunction(v.exact_div(unit), reduce=False) for v in vec])
+        unit = ring.const(FieldElement(ring.field, lc))
+        basis.append([v.exact_div(unit) for v in vec])
     forms = [
         HomogeneousForm.from_coeff_vector(mat.ring, mat.nvars, mat.degree, vec, mat.monos)
         for vec in basis
@@ -569,11 +534,11 @@ def kernel_of_conditions(mat: EvaluationMatrix) -> KernelBasis:
     """Exact nullspace basis; dimension = columns - rank."""
     if mat.ring.finite:
         return _finite_kernel(mat)
-    return _function_kernel(mat)
+    return _polynomial_kernel(mat)
 
 
 def condition_rank(mat: EvaluationMatrix) -> int:
-    """Rank of the condition matrix; over F_q(a,b,c) no kernel basis is built."""
+    """Rank of the condition matrix; over F_q[a,b,c] no kernel basis is built."""
     if mat.ring.finite:
         return _finite_kernel(mat).rank
     return len(_bareiss_echelon(mat)[0])
@@ -628,7 +593,8 @@ def _shear_form(f: HomogeneousForm, var: int, other: int, t) -> HomogeneousForm:
 
 
 def _univariate_resultant(a: list, b: list, ring: ScalarRing):
-    """Resultant of two univariate polys (scalar coefficient lists, low-to-high)."""
+    """Resultant of two univariate polys over a finite field (coefficient
+    lists, low-to-high): the determinant of their Sylvester matrix."""
     n, m = len(a) - 1, len(b) - 1
     if n < 0 or m < 0:
         return ring.zero()
@@ -645,35 +611,10 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
         for j, c in enumerate(reversed(b)):
             row[i + j] = c
         rows.append(row)
-    if ring.finite:
-        # a shear or test point may lie in an extension of ring.field
-        E = max((c.field for c in a + b), key=lambda F: F.size)
-        reps = [[E.lift_rep(c.field, c.rep) for c in row] for row in rows]
-        return FieldElement(E, row_reduce(E, reps)[2])
-    # determinant by Gaussian elimination over the function field
-    det = ring.one()
-    neg = False
-    for c in range(size):
-        piv = None
-        for r in range(c, size):
-            if not scalar_is_zero(rows[r][c]):
-                piv = r
-                break
-        if piv is None:
-            return zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            neg = not neg
-        p = rows[c][c]
-        det = det * p
-        for r in range(c + 1, size):
-            if scalar_is_zero(rows[r][c]):
-                continue
-            fac = rows[r][c] / p
-            rows[r] = [x - fac * y for x, y in zip(rows[r], rows[c])]
-    if neg:
-        det = zero - det
-    return det
+    # a shear or test point may lie in an extension of ring.field
+    E = max((c.field for c in a + b), key=lambda F: F.size)
+    reps = [[E.lift_rep(c.field, c.rep) for c in row] for row in rows]
+    return FieldElement(E, row_reduce(E, reps)[2])
 
 
 def _specialize_line(f: HomogeneousForm, var: int, v_scalars):
@@ -704,7 +645,7 @@ def _specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
 
 
 def _coprime_by_specialization(f: HomogeneousForm, g: HomogeneousForm):
-    """Function-field fast path: specialize (a,b,c,...) into a large
+    """Generic-mode path: specialize (a,b,c,...) into a large
     extension.  A nonzero specialized resultant certifies generic
     coprimality exactly (degrees cannot drop once a shear has produced
     constant leading coefficients, and those survive specialization);
@@ -714,11 +655,9 @@ def _coprime_by_specialization(f: HomogeneousForm, g: HomogeneousForm):
     m = 1
     while base.size ** m < 2 ** 20:
         m += 1
-    from .fields import extend_field
-
     E = extend_field(base, m) if m > 1 else base
     spec_ring = ScalarRing(E)
-    nvals = len(f.ring.function_field.names)
+    nvals = len(f.ring.names)
     rng = random.Random(0xC0FFEE)
     for _ in range(3):
         values = [E.from_index(rng.randrange(E.size)) for _ in range(nvals)]
@@ -744,7 +683,7 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
     terms (after deterministic shears if necessary).  The resultant, a
     binary form of degree deg(f)*deg(g), is nonzero iff it is nonzero at
     one of deg(f)*deg(g)+1 distinct test points; either outcome is exact.
-    Over a function field the resultant is decided through deterministic
+    Over F_q[a,b,c] the resultant is decided through deterministic
     specializations: a nonzero value is an exact certificate, and three
     vanishing specializations are reported as a common factor.
     """

@@ -225,12 +225,9 @@ def test_fat_point_schemes_char2(F2):
 
 
 def test_strange_conic_quadric_in_generic_kernel(F2):
-    from geproci.fields import FunctionField
-
     S6 = fatpoints.example_strange_conic_six(F2)
-    ff = FunctionField(F2, ("a", "b", "c"))
-    ring = ScalarRing(ff)
-    a, b, c = ff.gens()
+    ring = ScalarRing(F2, names=("a", "b", "c"))
+    a, b, c = ring.gens()
     mat = S6.condition_rows(2, ring)
     quadric = HomogeneousForm(ring, 4, 2, {
         (1, 1, 0, 0): c, (1, 0, 1, 0): b, (0, 1, 1, 0): a, (0, 0, 0, 2): a * b,

@@ -97,10 +97,14 @@ def test_frobenius_cone_vanishes_and_membership(spec, q):
     P = core.GeneralPoint.generic(F)
     cone = core.frobenius_cone(F, P)
     assert cone.degree == q + 1
-    sr = ScalarRing(P.ring)
     for pt in enumerate_projective_space(F, 3):
-        assert scalar_is_zero(evaluate(cone, sr.coerce_point_coords(pt)))
+        assert scalar_is_zero(evaluate(cone, P.ring.coerce_point_coords(pt)))
     assert core.frobenius_membership_check(F, P)
+
+
+def test_scalar_ring_refuses_a_scalar_ring(F2):
+    with pytest.raises(TypeError):
+        ScalarRing(core.GeneralPoint.generic(F2).ring)
 
 
 def test_frobenius_vertex_multiplicity(F2):

@@ -2,7 +2,7 @@
 import pytest
 
 from geproci import fatpoints as fp
-from geproci.fields import FunctionField, parse_field_spec
+from geproci.fields import parse_field_spec
 from geproci.multipoly import (
     HomogeneousForm,
     ScalarRing,
@@ -62,9 +62,8 @@ def test_strange_conic_quadric_cone_in_kernel(F2):
     """c xy + b xz + a yz + ab w^2 vanishes doubly on the scheme: the w
     derivative of w^2 is zero in characteristic 2."""
     S = fp.example_strange_conic_six(F2)
-    ff = FunctionField(F2, ("a", "b", "c"))
-    ring = ScalarRing(ff)
-    a, b, c = ff.gens()
+    ring = ScalarRing(F2, names=("a", "b", "c"))
+    a, b, c = ring.gens()
     mat = S.condition_rows(2, ring)
     quadric = HomogeneousForm(ring, 4, 2, {
         (1, 1, 0, 0): c, (1, 0, 1, 0): b, (0, 1, 1, 0): a, (0, 0, 0, 2): a * b,

@@ -8,17 +8,14 @@ from geproci.fields import (
     ZECH_MAX_SIZE,
     FieldError,
     FieldTower,
-    FunctionField,
     MultiPoly,
     NotASubfield,
-    RationalFunction,
     ReducibleModulus,
     extend_field,
     field_degree_over_prime,
     frobenius,
     is_irreducible,
     make_field,
-    mp_gcd,
     parse_field_spec,
     PrimeField,
     row_reduce,
@@ -122,22 +119,11 @@ def test_degree_over_prime():
     assert field_degree_over_prime(parse_field_spec("p=2;ext=2;ext=3")) == 6
 
 
-def test_multipoly_arithmetic_and_gcd():
+def test_multipoly_arithmetic():
     F = parse_field_spec("p=3")
-    ff = FunctionField(F, ("a", "b"))
-    a, b = ff.gens()
+    a, b = ScalarRing(F, names=("a", "b")).gens()
     x = (a + b) * (a - b)
     assert x == a * a - b * b
-    g = mp_gcd((a.num * b.num), (a.num * a.num))
-    assert g.degree() == 1
-
-
-def test_rational_function_reduction():
-    F = parse_field_spec("p=5")
-    ff = FunctionField(F, ("a",))
-    (a,) = ff.gens()
-    r = (a * a - ff.one()) / (a - ff.one())
-    assert r == a + ff.one()
 
 
 # F_4, F_8, F_9, F_16 (one layer over F_2, and a tower over F_4), F_25, F_49

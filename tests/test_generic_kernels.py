@@ -11,15 +11,8 @@ import pytest
 import geproci
 from geproci import core, fatpoints
 from geproci.cli import fixture_text
-from geproci.fields import FunctionField, extend_field, parse_field_spec
-from geproci.multipoly import (
-    EvaluationMatrix,
-    KernelBasis,
-    PolyError,
-    ScalarRing,
-    condition_rank,
-    kernel_of_conditions,
-)
+from geproci.fields import MultiPoly, extend_field, parse_field_spec
+from geproci.multipoly import KernelBasis, ScalarRing, kernel_of_conditions
 from geproci.projgeom import matrix_rank
 from geproci.spreads import complement_points, read_spread
 
@@ -53,7 +46,7 @@ def test_generic_kernel_matches_finite_kernel(name, degree):
     assert generic.dimension >= 1
     for f in generic.forms:
         for c in f.coeffs.values():
-            assert c.den.is_constant() and c.den.constant_value().index == 1
+            assert isinstance(c, MultiPoly)
 
     E, values = _specialization(Z.field)
     ring = ScalarRing(E)
@@ -68,21 +61,21 @@ def test_generic_kernel_matches_finite_kernel(name, degree):
     assert matrix_rank(E, reps) == generic.dimension
 
 
-def test_condition_entry_with_denominator_is_rejected():
-    ff = FunctionField(parse_field_spec("p=2"), ("a", "b", "c"))
-    a, b, _ = ff.gens()
-    mat = EvaluationMatrix(ScalarRing(ff), 3, 1, [[ff.one(), a, ff.one() / b]])
-    with pytest.raises(PolyError):
-        kernel_of_conditions(mat)
-    with pytest.raises(PolyError):
-        condition_rank(mat)
+def test_generic_kernel_leaves_the_condition_rows_intact():
+    Z = _concurrent_nine()
+    mat = core.project(Z, core.GeneralPoint.generic(Z.field)).condition_rows(3)
+    before = [list(row) for row in mat.rows]
+    assert kernel_of_conditions(mat).recheck()
+    assert mat.rows == before
 
 
 _NO_SYMPY = """
 import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
 from geproci import core, fatpoints
 from geproci.cli import fixture_text
 from geproci.fields import parse_field_spec
+from geproci.multipoly import CoprimalityWitness, HomogeneousForm, coprime_certificate
 from geproci.projgeom import PointSet, enumerate_projective_space
 from geproci.spreads import complement_points, read_spread
 
@@ -92,8 +85,15 @@ F2 = parse_field_spec("p=2")
 S9 = fatpoints.example_concurrent_nine(F2)
 assert fatpoints.scheme_geproci_check(S9, 3, 3, mode="generic").geproci
 P3 = PointSet(F2, enumerate_projective_space(F2, 3), 3)
-assert core.unexpected_cone_dim(P3, 4, core.GeneralPoint.generic(F2)) == (3, 0, True)
-assert "sympy" not in sys.modules, "sympy was imported"
+P = core.GeneralPoint.generic(F2)
+assert core.unexpected_cone_dim(P3, 4, P) == (3, 0, True)
+cone = core.frobenius_cone(F2, P)
+assert core.frobenius_membership_check(F2, P)
+assert core.cone_line_transversality(cone, F2).all_transversal
+a, b, _ = P.ring.gens()
+f = HomogeneousForm(P.ring, 3, 1, {(1, 0, 0): P.ring.one(), (0, 1, 0): a})
+g = HomogeneousForm(P.ring, 3, 1, {(0, 1, 0): P.ring.one(), (0, 0, 1): b})
+assert isinstance(coprime_certificate(f, g), CoprimalityWitness)
 """
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from geproci.fields import FunctionField, parse_field_spec
+from geproci.fields import parse_field_spec
 from geproci.multipoly import (
     CommonFactor,
     CoprimalityWitness,
@@ -70,10 +70,9 @@ def test_kernel_recheck_finite(F3):
 
 
 def test_kernel_recheck_function_field(F2):
-    ff = FunctionField(F2, ("a", "b", "c"))
-    ring = ScalarRing(ff)
-    a, b, c = ff.gens()
-    pts = [[ff.one(), a, b], [a, ff.one(), c], [b, c, ff.one()]]
+    ring = ScalarRing(F2, names=("a", "b", "c"))
+    a, b, c = ring.gens()
+    pts = [[ring.one(), a, b], [a, ring.one(), c], [b, c, ring.one()]]
     mat = point_evaluation_matrix(ring, pts, 2, 3)
     kern = kernel_of_conditions(mat)
     assert kern.dimension == 6 - kern.rank == 3
@@ -147,10 +146,9 @@ def test_coprime_certificate_zero_input(F2):
 
 
 def test_coprime_certificate_function_field(F2):
-    ff = FunctionField(F2, ("a", "b", "c"))
-    ring = ScalarRing(ff)
-    a, b, c = ff.gens()
-    one = ff.one()
+    ring = ScalarRing(F2, names=("a", "b", "c"))
+    a, b, c = ring.gens()
+    one = ring.one()
     x2 = _form(ring, 3, 1, {(1, 0, 0): one, (0, 1, 0): a})
     y2 = _form(ring, 3, 1, {(0, 1, 0): one, (0, 0, 1): b})
     w = coprime_certificate(x2, y2)
