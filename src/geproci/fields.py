@@ -479,15 +479,6 @@ class FieldTower:
     def one(self):
         return FieldElement(self, self.one_rep)
 
-    def gen(self) -> "FieldElement":
-        """The class of t, the adjoined root of the modulus."""
-        rep = [self.base.zero_rep] * self.degree
-        rep[1 if self.degree > 1 else 0] = self.base.one_rep
-        if self.degree == 1:
-            # degenerate degree-1 layer: t is a base element
-            rep[0] = self.base.neg_rep(self.modulus[0])
-        return FieldElement(self, tuple(rep))
-
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field is self:
@@ -655,8 +646,8 @@ class FieldElement:
         return self.field.rep_to_index(self.rep)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
+        # no int compares equal: in F_3 both 1 and 4 map to one(), and no
+        # hash could agree with both
         if not isinstance(other, FieldElement):
             return NotImplemented
         if other.field is not self.field and other.field != self.field:

@@ -76,7 +76,7 @@ class ProjectivePoint:
 class ProjectiveLine3:
     """A line of P^3 as the row span of a canonical 2x4 RREF matrix."""
 
-    __slots__ = ("field", "rows", "_points")
+    __slots__ = ("field", "rows", "_points", "_key")
 
     def __init__(self, field, rows: Sequence[Sequence]):
         rep_rows = []
@@ -88,10 +88,10 @@ class ProjectiveLine3:
         self.field = field
         self.rows = (tuple(reduced[0]), tuple(reduced[1]))
         self._points = None
+        self._key = tuple(field.rep_to_index(c) for row in self.rows for c in row)
 
     def key(self) -> tuple:
-        f = self.field
-        return tuple(f.rep_to_index(c) for row in self.rows for c in row)
+        return self._key
 
     def points(self) -> tuple:
         """The q+1 rational points on the line, canonically sorted."""
@@ -110,20 +110,6 @@ class ProjectiveLine3:
     def contains(self, p: ProjectivePoint) -> bool:
         f = self.field
         return matrix_rank(f, [list(self.rows[0]), list(self.rows[1]), list(p.reps)]) == 2
-
-    def pluecker(self) -> tuple:
-        """Derived Plücker fingerprint (normalized), for reporting only."""
-        f = self.field
-        r0, r1 = self.rows
-        coords = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                coords.append(
-                    f.sub_rep(f.mul_rep(r0[i], r1[j]), f.mul_rep(r0[j], r1[i]))
-                )
-        lead = next(c for c in coords if not f.rep_is_zero(c))
-        inv = f.inv_rep(lead)
-        return tuple(f.rep_to_index(f.mul_rep(c, inv)) for c in coords)
 
     def __eq__(self, other):
         return (

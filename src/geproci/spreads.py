@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fields import parse_field_spec
 from .projgeom import (
@@ -31,11 +31,6 @@ class SpreadError(Exception):
     pass
 
 
-class LimitExceeded(SpreadError):
-    """Raised internally when the node budget runs out; callers receive a
-    truncated result instead of the exception."""
-
-
 class PartialSpread:
     """A list of lines of PG(3,q), canonically ordered by line key.
 
@@ -43,9 +38,11 @@ class PartialSpread:
     assumed: `verify_spread` reports violations rather than raising.
     """
 
+    __slots__ = ("field", "lines", "maximal")
+
     def __init__(self, field, lines, maximal: Optional[bool] = None):
         self.field = field
-        self.lines = tuple(sorted(lines, key=lambda l: l.key()))
+        self.lines = tuple(sorted(lines, key=ProjectiveLine3.key))
         self.maximal = maximal
 
     @property
@@ -165,10 +162,6 @@ class SpreadReport:
             self.deficiency > 0 or not self.uncovered
         )
 
-    @property
-    def is_spread(self):
-        return self.clean and self.deficiency == 0
-
 
 def verify_spread(S: PartialSpread) -> SpreadReport:
     """Pairwise-skew and cover check; uncovered points only matter for
@@ -220,17 +213,6 @@ class SearchResult:
         return len(self.spreads)
 
 
-def _skew_masks(lines):
-    n = len(lines)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lines_skew(lines[i], lines[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
 def deficiency_window(q: int):
     """Mesner–Glynn window for the deficiency of a proper maximal partial
     spread: sqrt(q)+1 <= d <= (q-1)²."""
@@ -257,108 +239,147 @@ def search_maximal_partial_spreads(
     if mode == "sample" and seed is None:
         raise SpreadError("sample mode requires a seed")
     rng = random.Random(seed) if mode == "sample" else None
-    lines = sorted(all_lines(field), key=lambda l: l.key())
-    masks = _skew_masks(lines)
+    table = _line_table(field)
+    lines, skew = table.lines, table.skew
     n = len(lines)
     full = (1 << n) - 1
+    # skew_gt[i]: the lines skew to line i with a larger index
+    skew_gt = [m >> (i + 1) << (i + 1) for i, m in enumerate(skew)]
     sizes_set = set(sizes) if sizes is not None else None
     min_size = min(sizes_set) if sizes_set else 0
 
     found = []
-    state = {"nodes": 0, "truncated": False, "stop": False}
+    nodes = 1  # the root
+    truncated = node_budget < 1
 
-    def bits(mask):
-        order = []
-        while mask:
-            low = mask & -mask
-            order.append(low.bit_length() - 1)
-            mask ^= low
+    def expand(chosen, cand_gt, cand_all):
+        """Count and settle each child of a node, in preorder: emit it if
+        nothing extends it, prune it if it cannot reach `min_size`, recurse
+        only if it has candidates of its own."""
+        nonlocal nodes, truncated
+        size = len(chosen) + 1
+        order = _bit_indices(cand_gt)
         if rng is not None:
             rng.shuffle(order)
-        return order
-
-    def dfs(chosen, cand_gt, cand_all):
-        if state["stop"] or state["truncated"]:
-            return
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["truncated"] = True
-            return
-        if cand_all == 0:
-            if sizes_set is None or len(chosen) in sizes_set:
-                found.append(PartialSpread(field, [lines[i] for i in chosen], maximal=True))
-                if mode == "first":
-                    state["stop"] = True
-            return
-        if sizes_set is not None and len(chosen) + bin(cand_gt).count("1") < min_size:
-            return
-        for i in bits(cand_gt):
-            m = masks[i]
-            gt_mask = full ^ ((1 << (i + 1)) - 1)
-            dfs(chosen + [i], cand_gt & m & gt_mask, cand_all & m)
-            # lines skipped here reappear in cand_all of siblings, so no
-            # maximal clique is lost by the index-increasing restriction
-            if state["stop"] or state["truncated"]:
+        for i in order:
+            nodes += 1
+            if nodes > node_budget:
+                truncated = True
                 return
+            child_all = cand_all & skew[i]
+            child_gt = cand_gt & skew_gt[i]
+            if not child_all:
+                if sizes_set is None or size in sizes_set:
+                    found.append(chosen + (i,))
+                    if mode == "first":
+                        return
+            elif child_gt and (sizes_set is None or size + child_gt.bit_count() >= min_size):
+                # lines skipped here reappear in cand_all of siblings, so no
+                # maximal clique is lost by the index-increasing restriction
+                expand(chosen + (i,), child_gt, child_all)
+                if truncated or (found and mode == "first"):
+                    return
 
-    dfs([], full, full)
-    anomalies = []
+    if not truncated and n >= min_size:
+        expand((), full, full)
+    if rng is not None:
+        found.sort()  # preorder with increasing indices emits the others sorted
+    spreads = [PartialSpread(field, [lines[i] for i in t], maximal=True) for t in found]
     lo, hi = deficiency_window(field.size)
-    for S in found:
-        d = S.deficiency
-        if d > 0 and not (lo <= d <= hi):
-            anomalies.append((S, d))
-    found.sort(key=lambda S: tuple(l.key() for l in S.lines))
-    return SearchResult(
-        spreads=found,
-        nodes=state["nodes"],
-        truncated=state["truncated"],
-        anomalies=anomalies,
-    )
+    anomalies = [(S, S.deficiency) for S in spreads
+                 if S.deficiency > 0 and not (lo <= S.deficiency <= hi)]
+    return SearchResult(spreads=spreads, nodes=nodes, truncated=truncated,
+                        anomalies=anomalies)
+
+
+# ---------------------------------------------------------------------------
+# per-field line table
+
+class _LineTable(NamedTuple):
+    lines: list   # all_lines(field), in key order
+    index: dict   # line key -> position in `lines`
+    points: list  # per line: bitmask of its points, in enumerate_projective_space order
+    skew: list    # per line: bitmask of the lines skew to it
+    meet: list    # per line: bitmask of the other lines meeting it
+    npts: int
+
+
+_line_tables: dict = {}
+
+
+def _line_table(field) -> _LineTable:
+    """The incidence tables of PG(3,q) that the search and the fingerprints
+    share, built once per field.  Two distinct lines meet exactly when they
+    share a point, so meeting is read off the point masks."""
+    key = field.spec_string()
+    tab = _line_tables.get(key)
+    if tab is None:
+        lines = all_lines(field)
+        space = enumerate_projective_space(field, 3)
+        pt_index = {p.key(): i for i, p in enumerate(space.points)}
+        points = [sum(1 << pt_index[p.key()] for p in l.points()) for l in lines]
+        through = [0] * len(space)  # per point: bitmask of the lines through it
+        for i, pm in enumerate(points):
+            for p in _bit_indices(pm):
+                through[p] |= 1 << i
+        full = (1 << len(lines)) - 1
+        meet, skew = [], []
+        for i, pm in enumerate(points):
+            touching = 0
+            for p in _bit_indices(pm):
+                touching |= through[p]
+            meet.append(touching ^ (1 << i))
+            skew.append(full ^ touching)
+        tab = _LineTable(lines, {l.key(): i for i, l in enumerate(lines)},
+                         points, skew, meet, len(space))
+        _line_tables[key] = tab
+    return tab
+
+
+def _bit_indices(mask) -> list:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
 # fingerprints
 
-_fingerprint_tables: dict = {}
-
-
-def _fingerprint_table(field):
-    """Per-field incidence tables shared across fingerprint calls: line
-    index by key, point indices per line, and a meeting-lines bitmask per
-    line (self excluded)."""
-    key = field.spec_string()
-    tab = _fingerprint_tables.get(key)
-    if tab is None:
-        lines = sorted(all_lines(field), key=lambda l: l.key())
-        index = {l.key(): i for i, l in enumerate(lines)}
-        space = enumerate_projective_space(field, 3)
-        pt_index = {p.key(): i for i, p in enumerate(space.points)}
-        line_pts = [[pt_index[p.key()] for p in l.points()] for l in lines]
-        meet = [0] * len(lines)
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                if not lines_skew(lines[i], lines[j]):
-                    meet[i] |= 1 << j
-                    meet[j] |= 1 << i
-        tab = (index, line_pts, meet, len(space))
-        _fingerprint_tables[key] = tab
-    return tab
+def _sorted_column_sums(masks, width):
+    """The sorted multiset of the `width` column sums of 0/1 rows given as
+    bitmasks.  The rows are added bit-sliced: plane j holds bit j of every
+    column's running count, so a row costs a few carries.  `sels[c]` then
+    selects the columns whose count is c, and a popcount reads its size."""
+    planes = []
+    for carry in masks:
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(carry)
+                break
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    sels = [(1 << width) - 1]
+    for plane in planes:
+        sels = [s & m for m in (~plane, plane) for s in sels]
+    out = []
+    for count, sel in enumerate(sels):
+        out += [count] * sel.bit_count()
+    return tuple(out)
 
 
 def spread_fingerprint(S: PartialSpread):
     """Projective-equivalence invariant: sorted point-degree multiset and
     sorted profile of how many spread members each line of PG(3,q) meets."""
-    index, line_pts, meet, npts = _fingerprint_table(S.field)
-    members = [index[l.key()] for l in S.lines]
-    bits = 0
-    cover = [0] * npts
-    for i in members:
-        bits |= 1 << i
-        for p in line_pts[i]:
-            cover[p] += 1
-    degrees = tuple(sorted(cover))
-    profile = tuple(sorted((m & bits).bit_count() for m in meet))
+    tab = _line_table(S.field)
+    members = [tab.index[l.key()] for l in S.lines]
+    degrees = _sorted_column_sums([tab.points[i] for i in members], tab.npts)
+    # a repeated member counts once in the profile: it is a set of lines
+    profile = _sorted_column_sums([tab.meet[i] for i in set(members)], len(tab.lines))
     return (degrees, profile)
 
 

@@ -3,6 +3,7 @@
 Every assertion here is exact (integer or field arithmetic); there are no
 numerical tolerances anywhere.
 """
+import itertools
 import math
 import random
 
@@ -25,6 +26,7 @@ from geproci.projgeom import (
     collinear_subsets,
     enumerate_projective_space,
     is_coplanar,
+    lines_skew,
     read_point_set,
 )
 from geproci.spreads import (
@@ -155,6 +157,27 @@ def test_q3_size7_unique_fingerprint(q3_search):
     fps = {spread_fingerprint(S) for S in q3_search.spreads
            if len(S.lines) == 7}
     assert len(fps) == 1
+
+
+def test_q3_orbit_double_count(F3, q3_search):
+    # PGL(4,3) is transitive on the 130 lines and on the skew pairs, so the
+    # size-7 spreads through one line, or through one skew pair, count all
+    lines = all_lines(F3)
+    assert len(lines) == 130 and lines_skew(lines[0], lines[17])
+    skew_pairs = sum(lines_skew(a, b) for a, b in itertools.combinations(lines, 2))
+    assert skew_pairs == 5265
+    k0, k17 = lines[0].key(), lines[17].key()
+    through_line = through_pair = 0
+    for S in q3_search.spreads:
+        keys = {L.key() for L in S.lines}
+        if k0 in keys:
+            through_line += 1
+            through_pair += k17 in keys
+    assert (through_line, through_pair) == (9072, 672)
+    total = len(q3_search.spreads)
+    assert total == 168480 and not q3_search.truncated
+    assert through_line * 130 == total * 7
+    assert through_pair * skew_pairs == total * math.comb(7, 2)
 
 
 def test_q3_mps_complement_structure(mps7_q3):

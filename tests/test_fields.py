@@ -199,6 +199,15 @@ def test_equal_elements_of_a_tower_hash_alike():
     assert len({x, lifted, F16.from_index(3)}) == 2
 
 
+@pytest.mark.parametrize("spec", ["p=3", "p=3;ext=2"])
+def test_field_elements_never_equal_ints(spec):
+    # 1 and 4 both map to one() in characteristic 3; no hash agrees with both
+    F = parse_field_spec(spec)
+    assert F.one() != 1 and F.one() != 4 and not (F.one() == 1)
+    assert len({F.one(), 1}) == 2
+    assert F.one() == F.element(1) == F.element(4)
+
+
 # ---------------------------------------------------------------------------
 # row_reduce: the packed path of the large prime-base layers against the loop
 

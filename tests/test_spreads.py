@@ -1,8 +1,11 @@
 """Spreads and maximal partial spreads of PG(3,q)."""
+import functools
+import random
+
 import pytest
 
 from geproci.fields import parse_field_spec
-from geproci.projgeom import PointSet, all_lines, enumerate_projective_space
+from geproci.projgeom import PointSet, all_lines, enumerate_projective_space, lines_skew
 from geproci.spreads import (
     NoPartition,
     PartialSpread,
@@ -44,6 +47,31 @@ def test_search_first_mode(F3):
     res = search_maximal_partial_spreads(F3, mode="first")
     assert len(res.spreads) == 1
     assert verify_spread(res.spreads[0]).clean
+
+
+# (nodes, truncated, found, sizes) of each search; `nodes` is a
+# deterministic report field of `geproci spread search`
+SEARCH_CONTRACT = [
+    ("p=2", dict(sizes=[5]), (872, False, 56, [5])),
+    ("p=2", dict(), (1212, False, 56, [5])),
+    ("p=3", dict(mode="first"), (11, False, 1, [10])),
+    ("p=3", dict(node_budget=200), (201, True, 6, [10])),
+    ("p=2", dict(mode="sample", seed=5), (1212, False, 56, [5])),
+    ("p=3", dict(sizes=[7], mode="sample", seed=3, node_budget=5000), (5001, True, 163, [7])),
+    ("p=3", dict(sizes=[7], mode="first", node_budget=10), (11, True, 0, [])),
+]
+
+
+@pytest.mark.parametrize("spec,kwargs,expected", SEARCH_CONTRACT)
+def test_search_contract(spec, kwargs, expected):
+    res = search_maximal_partial_spreads(parse_field_spec(spec), **kwargs)
+    sizes = sorted({len(S.lines) for S in res.spreads})
+    assert (res.nodes, res.truncated, len(res.spreads), sizes) == expected
+    keys = [tuple(L.key() for L in S.lines) for S in res.spreads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for S in res.spreads:
+        assert S.maximal and S.is_pairwise_skew()
+    assert res.anomalies == []
 
 
 def test_search_sample_requires_seed(F2):
@@ -98,3 +126,49 @@ def test_spread_file_roundtrip(mps7_q3):
     back = read_spread(text)
     assert sorted(L.key() for L in back.lines) == sorted(L.key() for L in mps7_q3.lines)
     assert write_spread(back) == text
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_test_meet_masks(spec):
+    """Per line of PG(3,q): the bitmask of the other lines it meets, by rank
+    tests (independent of the point masks the library uses)."""
+    lines = all_lines(parse_field_spec(spec))
+    meet = [0] * len(lines)
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if not lines_skew(lines[i], lines[j]):
+                meet[i] |= 1 << j
+                meet[j] |= 1 << i
+    return lines, meet
+
+
+def _fingerprint_oracle(S):
+    """The per-point cover count and per-line popcount formula."""
+    lines, meet = _rank_test_meet_masks(S.field.spec_string())
+    index = {L.key(): i for i, L in enumerate(lines)}
+    cover = {p.key(): 0 for p in enumerate_projective_space(S.field, 3)}
+    bits = 0
+    for L in S.lines:
+        bits |= 1 << index[L.key()]
+        for p in L.points():
+            cover[p.key()] += 1
+    return (tuple(sorted(cover.values())),
+            tuple(sorted((m & bits).bit_count() for m in meet)))
+
+
+def test_fingerprint_matches_the_per_line_oracle(F2):
+    for S in search_maximal_partial_spreads(F2, sizes=[5]).spreads:
+        assert spread_fingerprint(S) == _fingerprint_oracle(S)
+    rng = random.Random(11)
+    deepest = 0
+    for spec in ["p=2", "p=3"] * 25:
+        F = parse_field_spec(spec)
+        lines = all_lines(F)
+        k = rng.randrange(1, 16)
+        # with replacement half the time: a repeated member covers its points twice
+        members = rng.choices(lines, k=k) if rng.random() < 0.5 else rng.sample(lines, k)
+        S = PartialSpread(F, members)
+        fp = spread_fingerprint(S)
+        assert fp == _fingerprint_oracle(S)
+        deepest = max(deepest, fp[0][-1])
+    assert deepest >= 4  # some point covered 4+ times: carries reach the third plane
