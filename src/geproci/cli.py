@@ -14,7 +14,7 @@ from .multipoly import HomogeneousForm, ScalarRing, hilbert_value
 from .projgeom import (
     PointSet,
     ProjectivePoint,
-    all_lines,
+    collinear_classes,
     collinear_subsets,
     enumerate_projective_space,
     read_point_set,
@@ -283,7 +283,7 @@ def _reproduce_ex_40pt_q7(report):
     report["points"] = len(Z.points)
     report["hilbert_4"] = hilbert_value(Z, 4)
     keys = {p.key() for p in Z.points}
-    max_meet = max(sum(1 for p in L.points() if p.key() in keys) for L in all_lines(F))
+    max_meet = max(map(len, collinear_classes(Z)))
     comp = PointSet(F, [p for p in enumerate_projective_space(F, 3)
                         if p.key() not in keys], 3)
     part = spreads.partition_into_lines(comp)

@@ -38,7 +38,7 @@ from .multipoly import (
     monomials,
     scalar_is_zero,
 )
-from .projgeom import PointSet, ProjectivePoint, all_lines, collinear_subsets, is_coplanar, line_through, lines_skew
+from .projgeom import PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, is_coplanar, lines_skew
 
 
 class CoreError(Exception):
@@ -91,14 +91,17 @@ class GeneralPoint:
 
     @classmethod
     def random(cls, field, seed: int, avoid: Optional[PointSet] = None) -> "GeneralPoint":
-        """Sample from F_{q^m}, q^m >= 2^31, off every secant of `avoid`."""
+        """Sample from F_{q^m}, q^m >= 2^31, off every secant of `avoid`.
+
+        The secants are the lines of `collinear_subsets(avoid, 2)`.
+        """
         m = 1
         while field.size ** m < RANDOM_MIN_FIELD:
             m += 1
         E = extend_field(field, m) if m > 1 else field
         ring = ScalarRing(E)
         rng = random.Random(seed)
-        secants = _secant_lines(avoid) if avoid is not None else []
+        secants = [l for l, _ in collinear_subsets(avoid, 2)] if avoid is not None else []
         for _ in range(1000):
             coords = [E.from_index(rng.randrange(E.size)) for _ in range(3)]
             coords.append(E.one())
@@ -107,16 +110,6 @@ class GeneralPoint:
                 if all(not _on_line(p, l, E) for l in secants):
                     return cls("random", ring, coords, m=m, seed=seed)
         raise CoreError("could not sample a general point off all secants")
-
-
-def _secant_lines(Z: PointSet):
-    seen = {}
-    pts = Z.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            l = line_through(pts[i], pts[j])
-            seen[l.key()] = l
-    return list(seen.values())
 
 
 def _on_line(p: ProjectivePoint, line, E) -> bool:
@@ -350,7 +343,8 @@ def cone_line_transversality(F: HomogeneousForm, field) -> TransversalityReport:
     extra_param = E.from_index(field.size)
     violations = []
     rational_ok = True
-    for line in all_lines(field):
+    lines = all_lines(field)
+    for line in lines:
         A = [FieldElement(E, E.lift_rep(field, c)) for c in line.rows[0]]
         B = [FieldElement(E, E.lift_rep(field, c)) for c in line.rows[1]]
 
@@ -368,7 +362,7 @@ def cone_line_transversality(F: HomogeneousForm, field) -> TransversalityReport:
         if scalar_is_zero(at(extra_param)):
             violations.append(line)
     return TransversalityReport(
-        total=len(all_lines(field)), violations=violations, rational_vanishing_ok=rational_ok
+        total=len(lines), violations=violations, rational_vanishing_ok=rational_ok
     )
 
 
@@ -603,20 +597,12 @@ def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
 
 def _collinear_partition(Z: PointSet, parts: int):
     """Partition Z into exactly `parts` collinear classes (each >= 2 pts)."""
-    classes = []
-    for line, members in collinear_subsets(Z, 2):
-        classes.append(tuple(members))
+    classes = collinear_classes(Z)
     # try larger classes first so the part count shrinks fastest
-    classes.sort(key=lambda ms: (-len(ms), ms))
-    keys = sorted(p.key() for p in Z.points)
-    index = {k: i for i, k in enumerate(keys)}
-    masks = []
-    for ms in classes:
-        m = 0
-        for p in ms:
-            m |= 1 << index[p.key()]
-        masks.append((m, ms))
-    target = (1 << len(keys)) - 1
+    classes.sort(key=lambda c: (-len(c), c))
+    pts = Z.points
+    masks = [(sum(1 << i for i in c), tuple(pts[i] for i in c)) for c in classes]
+    target = (1 << len(pts)) - 1
     chosen = []
     max_class = max((len(ms) for ms in classes), default=0)
 

@@ -132,7 +132,8 @@ class PointSet:
     """A sorted, duplicate-free set of points of P^n over a fixed field."""
 
     def __init__(self, field, points: Iterable[ProjectivePoint], dim: int = None):
-        pts = sorted(set(points))
+        members = frozenset(points)
+        pts = sorted(members)
         if dim is None:
             if not pts:
                 raise GeometryError("empty point set needs an explicit dimension")
@@ -143,6 +144,7 @@ class PointSet:
         self.field = field
         self.dim = dim
         self.points = tuple(pts)
+        self._members = members
 
     def __len__(self):
         return len(self.points)
@@ -151,7 +153,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p):
-        return p in set(self.points)
+        return p in self._members
 
     def __eq__(self, other):
         return (
@@ -161,8 +163,7 @@ class PointSet:
         )
 
     def minus(self, other: "PointSet") -> "PointSet":
-        drop = set(other.points)
-        return PointSet(self.field, [p for p in self.points if p not in drop], self.dim)
+        return PointSet(self.field, [p for p in self.points if p not in other], self.dim)
 
     def __repr__(self):
         return f"PointSet({len(self.points)} points in P^{self.dim} over {self.field!r})"
@@ -247,24 +248,52 @@ def _tuples(elems, n):
     return out
 
 
+def collinear_classes(Z: PointSet) -> list:
+    """Every line meeting Z in at least 2 points, as the ascending tuple of
+    the indices of its points in `Z.points`.
+
+    Projects from each point, with no elimination.  For p = Z.points[i]
+    with leading coordinate c (which is 1), a later point r has the
+    direction d = r - r[c]·p, the point where the line pr meets x_c = 0;
+    two points lie on one line through p iff their normalized directions
+    are equal.  A class is emitted at its smallest member and ORed into
+    `done` of each member, so the projection from a later member skips the
+    points already in a class with it.
+    """
+    F = Z.field
+    sub, mul, inv, is_zero = F.sub_rep, F.mul_rep, F.inv_rep, F.rep_is_zero
+    pts = [p.reps for p in Z.points]
+    done = [0] * len(pts)
+    classes = []
+    for i, p in enumerate(pts):
+        c = next(j for j, x in enumerate(p) if not is_zero(x))
+        skip = done[i]
+        buckets: dict = {}
+        for k in range(i + 1, len(pts)):
+            if skip >> k & 1:
+                continue
+            r = pts[k]
+            t = r[c]
+            d = [sub(x, mul(t, y)) for x, y in zip(r, p)]
+            s = inv(next(x for x in d if not is_zero(x)))
+            buckets.setdefault(tuple(mul(x, s) for x in d), [i]).append(k)
+        for members in buckets.values():
+            mask = sum(1 << k for k in members)
+            for k in members:
+                done[k] |= mask
+            classes.append(tuple(members))
+    return classes
+
+
 def collinear_subsets(Z: PointSet, k: int = 3) -> list:
-    """All lines containing at least k points of Z, with their incidences."""
+    """All lines containing at least k points of Z, with their incidences,
+    sorted by line key."""
     if k < 2:
         raise GeometryError("threshold must be >= 2")
-    buckets: dict = {}
     pts = Z.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            line = line_through(pts[i], pts[j])
-            key = line.key()
-            if key not in buckets:
-                buckets[key] = (line, set())
-            buckets[key][1].update((pts[i], pts[j]))
-    out = []
-    for key in sorted(buckets):
-        line, members = buckets[key]
-        if len(members) >= k:
-            out.append((line, tuple(sorted(members))))
+    out = [(line_through(pts[c[0]], pts[c[1]]), tuple(pts[i] for i in c))
+           for c in collinear_classes(Z) if len(c) >= k]
+    out.sort(key=lambda lm: lm[0].key())
     return out
 
 

@@ -19,6 +19,8 @@ from .projgeom import (
     ProjectiveLine3,
     ProjectivePoint,
     all_lines,
+    collinear_classes,
+    collinear_subsets,
     enumerate_projective_space,
     line_through,
     lines_skew,
@@ -78,12 +80,14 @@ class PartialSpread:
         )
 
     def check_maximality(self) -> bool:
-        """Scan every line of PG(3,q) for a possible extension."""
-        for cand in all_lines(self.field):
-            if all(lines_skew(cand, l) for l in self.lines):
-                if cand not in self.lines:
-                    return False
-        return True
+        """Whether no line outside the set is skew to all its members.
+
+        Such a line is exactly a full line of uncovered points, so this
+        holds for any set of lines, pairwise skew or not."""
+        covered = {p for l in self.lines for p in l.points()}
+        rest = [p for p in enumerate_projective_space(self.field, 3) if p not in covered]
+        q = self.field.size
+        return all(len(c) <= q for c in collinear_classes(PointSet(self.field, rest, 3)))
 
     def __repr__(self):
         return f"<PartialSpread q={self.q} size={len(self.lines)} deficiency={self.deficiency}>"
@@ -397,20 +401,12 @@ def partition_into_lines(Z: PointSet):
     if len(Z) % (q + 1) != 0:
         return NoPartition(f"|Z| = {len(Z)} is not a multiple of q+1 = {q + 1}")
     # every collinear (q+1)-subset is a complete line of PG(3,q)
-    full_lines = []
-    for line, members in _full_lines_inside(Z):
-        full_lines.append((line, frozenset(p.key() for p in members)))
-    keys = [p.key() for p in Z.points]
-    key_index = {k: i for i, k in enumerate(keys)}
-    line_masks = []
-    for line, members in full_lines:
-        m = 0
-        for k in members:
-            m |= 1 << key_index[k]
-        line_masks.append(m)
-    target = (1 << len(keys)) - 1
+    full_lines = collinear_subsets(Z, q + 1)
+    index = {p: i for i, p in enumerate(Z.points)}
+    line_masks = [sum(1 << index[p] for p in members) for _, members in full_lines]
+    target = (1 << len(Z)) - 1
 
-    point_lines = [[] for _ in keys]
+    point_lines = [[] for _ in Z.points]
     for idx, lm in enumerate(line_masks):
         m = lm
         while m:
@@ -444,17 +440,6 @@ def partition_into_lines(Z: PointSet):
     if not cover(target):
         return NoPartition("no exact cover by full lines exists")
     return [full_lines[i][0] for i in chosen]
-
-
-def _full_lines_inside(Z: PointSet):
-    q = Z.field.size
-    from .projgeom import collinear_subsets
-
-    out = []
-    for line, members in collinear_subsets(Z, q + 1):
-        if len(members) == q + 1:
-            out.append((line, members))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from geproci.projgeom import (
     PointSet,
     ProjectivePoint,
     all_lines,
+    collinear_subsets,
     enumerate_projective_space,
     matrix_rank,
 )
@@ -39,7 +40,7 @@ def test_on_line_agrees_with_rank_test(forty_points_q7):
     Z = forty_points_q7
     F = Z.field
     E = extend_field(F, 12)
-    secants = core._secant_lines(Z)
+    secants = [l for l, _ in collinear_subsets(Z, 2)]
     rng = random.Random(5)
     for _ in range(3):
         p = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
@@ -62,7 +63,7 @@ def test_on_line_over_a_tower_base(F4):
     Z = PointSet(F4, list(enumerate_projective_space(F4, 3))[:12], 3)
     E = extend_field(F4, 3)
     rng = random.Random(2)
-    for line in core._secant_lines(Z):
+    for line in [l for l, _ in collinear_subsets(Z, 2)]:
         r0, r1 = ([E.lift_rep(F4, c) for c in row] for row in line.rows)
         s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
         on = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))

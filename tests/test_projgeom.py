@@ -1,4 +1,6 @@
 """PG(3,q) points, lines, incidence, and file formats."""
+import random
+
 import pytest
 
 from geproci.projgeom import (
@@ -6,6 +8,7 @@ from geproci.projgeom import (
     PointSet,
     ProjectivePoint,
     all_lines,
+    collinear_classes,
     collinear_subsets,
     enumerate_projective_space,
     is_coplanar,
@@ -111,5 +114,80 @@ def test_point_set_file_extension_field(F4):
 
 def test_point_set_minus(F2, P3F2):
     L = all_lines(F2)[0]
-    rest = P3F2.minus(PointSet(F2, L.points(), 3))
+    line = PointSet(F2, L.points(), 3)
+    rest = P3F2.minus(line)
     assert len(rest) == 12
+    for p in P3F2.points:
+        assert p in P3F2
+        assert (p in rest) == (p not in line)
+
+
+# ---------------------------------------------------------------------------
+# collinear classes against the pairwise line oracle
+
+def _pairwise_oracle(Z, k):
+    """A line through every pair of points, bucketed by line key: the line
+    keys and member tuples of the lines with at least k points of Z."""
+    buckets = {}
+    pts = Z.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            key = line_through(pts[i], pts[j]).key()
+            buckets.setdefault(key, set()).update((pts[i], pts[j]))
+    return [(key, tuple(sorted(ms))) for key, ms in sorted(buckets.items()) if len(ms) >= k]
+
+
+def _keyed(subs):
+    return [(line.key(), members) for line, members in subs]
+
+
+def _assert_every_pair_once(Z):
+    classes = collinear_classes(Z)
+    pairs = [(c[a], c[b]) for c in classes for a in range(len(c)) for b in range(a + 1, len(c))]
+    n = len(Z)
+    assert len(pairs) == len(set(pairs)) == n * (n - 1) // 2
+    assert all(list(c) == sorted(set(c)) and len(c) >= 2 for c in classes)
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2"])
+def test_collinear_subsets_match_the_oracle_on_pg3(spec):
+    from geproci.fields import parse_field_spec
+
+    F = parse_field_spec(spec)
+    Z = enumerate_projective_space(F, 3)
+    for k in (2, 3, F.size + 1, F.size + 2):
+        assert _keyed(collinear_subsets(Z, k)) == _pairwise_oracle(Z, k)
+    assert len(collinear_subsets(Z, 2)) == len(all_lines(F))
+    _assert_every_pair_once(Z)
+
+
+def test_collinear_subsets_match_the_oracle_on_the_40_points(forty_points_q7):
+    Z = forty_points_q7
+    for k in (2, 3):
+        assert _keyed(collinear_subsets(Z, k)) == _pairwise_oracle(Z, k)
+    _assert_every_pair_once(Z)
+    # its 360-point complement is the union of 45 full lines
+    comp = enumerate_projective_space(Z.field, 3).minus(Z)
+    full = collinear_subsets(comp, 8)
+    assert _keyed(full) == _pairwise_oracle(comp, 8)
+    assert len(full) >= 45
+
+
+def test_collinear_subsets_match_the_oracle_on_random_subsets():
+    from geproci.fields import parse_field_spec
+
+    rng = random.Random(7)
+    for spec in ["p=2", "p=3", "p=2;ext=2", "p=5", "p=7"] * 4:
+        F = parse_field_spec(spec)
+        space = enumerate_projective_space(F, 3).points
+        Z = PointSet(F, rng.sample(space, rng.randrange(2, min(len(space), 60))), 3)
+        for k in (2, 3):
+            assert _keyed(collinear_subsets(Z, k)) == _pairwise_oracle(Z, k)
+        _assert_every_pair_once(Z)
+
+
+def test_collinear_classes_of_small_sets(F3):
+    empty = PointSet(F3, [], 3)
+    assert collinear_classes(empty) == []
+    one = PointSet(F3, [ProjectivePoint(F3, [0, 0, 1, 2])], 3)
+    assert collinear_classes(one) == []

@@ -172,3 +172,30 @@ def test_fingerprint_matches_the_per_line_oracle(F2):
         assert fp == _fingerprint_oracle(S)
         deepest = max(deepest, fp[0][-1])
     assert deepest >= 4  # some point covered 4+ times: carries reach the third plane
+
+
+def _maximality_oracle(S):
+    """The all-lines scan: no line of PG(3,q) outside S is skew to all of S."""
+    return not any(all(lines_skew(c, l) for l in S.lines) and c not in S.lines
+                   for c in all_lines(S.field))
+
+
+def test_check_maximality_matches_the_all_lines_scan(mps7_q3):
+    rng = random.Random(3)
+    sets = [build_regular_spread(parse_field_spec(spec))
+            for spec in ["p=2", "p=3", "p=2;ext=2", "p=5"]]
+    sets += [mps7_q3, PartialSpread(mps7_q3.field, mps7_q3.lines[1:])]
+    assert [S.check_maximality() for S in sets] == [True] * 5 + [False]
+    for spec in ["p=2", "p=3", "p=2;ext=2"]:
+        F = parse_field_spec(spec)
+        lines = all_lines(F)
+        through = [L for L in lines if L.contains(lines[0].points()[0])]
+        samples = [[], lines[:1], through[:2], through, lines[:1] + through[1:]]
+        samples += [rng.sample(lines, rng.randrange(1, 3 * F.size + 4)) for _ in range(14)]
+        sets += [PartialSpread(F, members) for members in samples]
+    seen = set()
+    for S in sets:
+        assert S.check_maximality() == _maximality_oracle(S), (S.field, len(S))
+        seen.add((S.is_pairwise_skew(), S.check_maximality()))
+    # skew and meeting sets, maximal and not, were all drawn
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
