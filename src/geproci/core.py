@@ -9,8 +9,9 @@ Two working modes:
             scalar is a polynomial in F_q[a,b,c] and all linear algebra is
             fraction-free; verdicts are conclusive.
   RANDOM  — P sampled from a large extension F_{q^m} with a seed; positive
-            verdicts are probabilistic (bound reported), negative verdicts
-            are conclusive by semicontinuity.
+            verdicts are probabilistic (bound reported); a negative is
+            conclusive only when a curve space is smaller than a complete
+            intersection needs (dimensions only grow under specialization).
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from typing import Optional
 
 from .fields import FieldElement, MultiPoly, extend_field
 from .multipoly import (
-    CommonFactor,
     CoprimalityWitness,
     EvaluationMatrix,
     HomogeneousForm,
@@ -30,11 +30,11 @@ from .multipoly import (
     condition_rank,
     coprime_certificate,
     derivative_row,
+    directional_derivative,
     evaluate,
     evaluation_row,
     hilbert_value,
     kernel_of_conditions,
-    monomial_count,
     monomials,
     scalar_is_zero,
 )
@@ -53,13 +53,7 @@ class LengthMismatch(CoreError):
     pass
 
 
-class NoCurveOfDegree(CoreError):
-    def __init__(self, degree):
-        super().__init__(f"no curve of degree {degree} through the projected scheme")
-        self.degree = degree
-
-
-class AllPairsShareComponent(CoreError):
+class NotCompleteIntersection(CoreError):
     pass
 
 
@@ -93,7 +87,8 @@ class GeneralPoint:
     def random(cls, field, seed: int, avoid: Optional[PointSet] = None) -> "GeneralPoint":
         """Sample from F_{q^m}, q^m >= 2^31, off every secant of `avoid`.
 
-        The secants are the lines of `collinear_subsets(avoid, 2)`.
+        Each secant is given by the first two points of its class in
+        `collinear_classes(avoid)`; no line is built.
         """
         m = 1
         while field.size ** m < RANDOM_MIN_FIELD:
@@ -101,38 +96,41 @@ class GeneralPoint:
         E = extend_field(field, m) if m > 1 else field
         ring = ScalarRing(E)
         rng = random.Random(seed)
-        secants = [l for l, _ in collinear_subsets(avoid, 2)] if avoid is not None else []
+        secants = []
+        if avoid is not None:
+            pts = avoid.points
+            secants = [(pts[c[0]], pts[c[1]]) for c in collinear_classes(avoid)]
         for _ in range(1000):
             coords = [E.from_index(rng.randrange(E.size)) for _ in range(3)]
             coords.append(E.one())
             if any(c.index >= field.size for c in coords[:3]):
                 p = ProjectivePoint(E, coords)
-                if all(not _on_line(p, l, E) for l in secants):
+                if all(not _on_secant(p, u, v, E) for u, v in secants):
                     return cls("random", ring, coords, m=m, seed=seed)
         raise CoreError("could not sample a general point off all secants")
 
 
-def _on_line(p: ProjectivePoint, line, E) -> bool:
-    """Whether p lies on the line, with no elimination.
+def _on_secant(p: ProjectivePoint, u: ProjectivePoint, v: ProjectivePoint, E) -> bool:
+    """Whether p lies on the line through the distinct points u and v.
 
-    The line's RREF rows r0, r1 have pivot columns c0, c1, so p is on the
-    line iff p = p[c0] r0 + p[c1] r1; the two pivot coordinates agree by
-    construction.  The rows lie in the line's field F and E is F or a
+    p is on it iff the four 3×3 minors of [u; v; p] vanish.  Expanded
+    along p's row, a minor sums three products of a coordinate of p with a
+    2×2 minor of [u; v], a scalar of the points' field F.  E is F or a
     one-layer extension of it, so each product scales the coordinates of
-    an E element over F by a scalar of F.
+    an E element over F by a scalar of F: no elimination, no inverse.
     """
-    F = line.field
-    r0, r1 = line.rows
-    c0 = next(j for j, x in enumerate(r0) if not F.rep_is_zero(x))
-    c1 = next(j for j, x in enumerate(r1) if not F.rep_is_zero(x))
+    F = u.field
+    add, sub, mul = F.add_rep, F.sub_rep, F.mul_rep
+    U, V = u.reps, v.reps
     coords = [(x,) for x in p.reps] if E == F else p.reps
-    x0, x1 = coords[c0], coords[c1]
-    for j, xj in enumerate(coords):
-        if j == c0 or j == c1:
-            continue
-        a, b = r0[j], r1[j]
-        for x, y0, y1 in zip(xj, x0, x1):
-            if not F.rep_is_zero(F.sub_rep(x, F.add_rep(F.mul_rep(y0, a), F.mul_rep(y1, b)))):
+
+    def minor(a, b):
+        return sub(mul(U[a], V[b]), mul(U[b], V[a]))
+
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        a, b, c = minor(j, k), F.neg_rep(minor(i, k)), minor(i, j)
+        for x, y, z in zip(coords[i], coords[j], coords[k]):
+            if not F.rep_is_zero(add(add(mul(x, a), mul(y, b)), mul(z, c))):
                 return False
     return True
 
@@ -450,8 +448,6 @@ class GeprociCertificate:
 
 
 def _vanishes_on(f: HomogeneousForm, S: ProjectedScheme) -> bool:
-    from .multipoly import directional_derivative
-
     for coords, direction in S.entries:
         if not scalar_is_zero(evaluate(f, coords)):
             return False
@@ -461,108 +457,71 @@ def _vanishes_on(f: HomogeneousForm, S: ProjectedScheme) -> bool:
     return True
 
 
-PAIR_CAP = 64
-
-
-def _candidates_for_degree(S: ProjectedScheme, degree: int, hints: list,
-                           with_kernel: bool = True) -> list:
-    """Verified candidate curves of one degree, structural hints first.
-
-    The interpolation kernel is appended only when requested: when a
-    verified structural candidate exists it usually suffices, and the
-    kernel elimination is the expensive step in both modes.
-    """
-    out = []
-    for h in hints:
-        if h.degree == degree and _vanishes_on(h, S):
-            out.append(h)
-    if with_kernel:
-        kern = interpolate_curve(S, degree)
-        for f in kern.forms:
-            if not any(f.proportional_to(c) for c in out):
-                out.append(f)
-    return out
-
-
 def certify_complete_intersection(
     S: ProjectedScheme, alpha: int, beta: int, hints: Optional[list] = None
 ) -> GeprociCertificate:
-    """Find coprime curves of degrees (alpha, beta) through the scheme.
+    """Decide whether the scheme is a complete intersection of type (alpha, beta).
 
-    With length = alpha*beta already contained in both curves, Bézout
-    forces the intersection to be exactly the scheme, so coprimality of
-    one vanishing pair suffices.  Structural hints are tried first; the
-    interpolation kernels are only computed if the hint pairs fail.
+    A certificate is a pair of coprime curves of degrees a <= b through the
+    scheme; its length ab is all Bézout allows, so the pair cuts out
+    exactly the scheme.  Coprime pairs of vanishing structural hints are
+    tried first, with no kernel.  Otherwise the Hilbert function decides
+    (Eisenbud–Green–Harris, Cayley–Bacharach theorems and conjectures,
+    Bull. AMS 33 (1996)).  Let the scheme be cut out by (f0, g0) and let
+    I_d be the curves of degree d through it.  Then I_a = <f0> if a < b and
+    I_a = <f0, g0> if a = b, and I_b = f0·S_{b−a} ⊕ <g0>, of dimension
+    C(b−a+2, 2) + 1.  Take f in I_a (for a < b, f0 up to a unit).  A form
+    of I_b outside f·S_{b−a} is f·h + c·g0 with c ≠ 0, so it is coprime to
+    f; for a = b, any form of I_a not proportional to f is such a form.  A
+    basis of I_b has a member outside f·S_{b−a}, so f with the hints and
+    the basis of I_b decides.  Raises NotCompleteIntersection with the
+    criterion that fails.
     """
     if S.length != alpha * beta:
         raise LengthMismatch(f"scheme length {S.length} != {alpha}*{beta}")
-    hints = hints or []
-    mode = "generic" if not S.ring.finite else "random"
-    cand_a = _candidates_for_degree(S, alpha, hints, with_kernel=False)
-    cand_b = _candidates_for_degree(S, beta, hints, with_kernel=False)
-    tried = 0
-    n_hint_a, n_hint_b = len(cand_a), len(cand_b)
+    a, b = sorted((alpha, beta))
+    hints = [h for h in hints or [] if h.degree in (a, b) and _vanishes_on(h, S)]
+    hints_a = [h for h in hints if h.degree == a]
+    hints_b = [h for h in hints if h.degree == b]
 
-    def try_pairs(skip_hint_pairs: bool):
-        nonlocal tried
-        for i, f in enumerate(cand_a):
-            for j, g in enumerate(cand_b):
-                if skip_hint_pairs and i < n_hint_a and j < n_hint_b:
-                    continue
-                if tried >= PAIR_CAP:
-                    return None
-                tried += 1
-                w = coprime_certificate(f, g)
-                if isinstance(w, CoprimalityWitness):
-                    return GeprociCertificate(
-                        alpha=alpha, beta=beta, f=f, g=g, coprimality=w,
-                        length=S.length, mode=mode,
-                        seed=S.point.seed, m=S.point.m,
-                    )
+    def certify(f, candidates):
+        for g in candidates:
+            if g.proportional_to(f):
+                continue
+            w = coprime_certificate(f, g)
+            if isinstance(w, CoprimalityWitness):
+                f_, g_ = (f, g) if alpha <= beta else (g, f)
+                return GeprociCertificate(
+                    alpha=alpha, beta=beta, f=f_, g=g_, coprimality=w,
+                    length=S.length, mode="random" if S.ring.finite else "generic",
+                    seed=S.point.seed, m=S.point.m,
+                )
         return None
 
-    if cand_a and cand_b:
-        cert = try_pairs(skip_hint_pairs=False)
+    def curves(degree, need):
+        kernel = interpolate_curve(S, degree)
+        if kernel.dimension != need:
+            raise NotCompleteIntersection(
+                f"dim I_{degree} = {kernel.dimension}, a complete intersection "
+                f"of type ({a},{b}) needs {need}"
+            )
+        return kernel.forms
+
+    for f in hints_a:
+        cert = certify(f, hints_b)
         if cert is not None:
             return cert
-    cand_a = _candidates_for_degree(S, alpha, hints)
-    if not cand_a:
-        raise NoCurveOfDegree(alpha)
-    cand_b = _candidates_for_degree(S, beta, hints)
-    if not cand_b:
-        raise NoCurveOfDegree(beta)
-    cert = try_pairs(skip_hint_pairs=bool(n_hint_a and n_hint_b))
-    if cert is not None:
-        return cert
-    # canonical linear combinations within each kernel before giving up
-    for combo in _combinations(cand_a)[:8]:
-        for g in cand_b[:8]:
-            if tried >= 2 * PAIR_CAP:
-                break
-            tried += 1
-            if not _vanishes_on(combo, S):
-                continue
-            w = coprime_certificate(combo, g)
-            if isinstance(w, CoprimalityWitness):
-                return GeprociCertificate(
-                    alpha=alpha, beta=beta, f=combo, g=g, coprimality=w,
-                    length=S.length, mode=mode, seed=S.point.seed, m=S.point.m,
-                )
-    raise AllPairsShareComponent(
-        f"every candidate pair of degrees ({alpha},{beta}) shares a factor"
-    )
-
-
-def _combinations(cands: list) -> list:
-    if len(cands) < 2:
-        return []
-    out = []
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            s = cands[i] + cands[j]
-            if not s.is_zero():
-                out.append(s)
-    return out
+    forms_a = curves(a, 2 if a == b else 1)
+    f = (hints_a + forms_a)[0]
+    # a hint f has already met every hint of degree b
+    cert = certify(f, [] if hints_a else hints_b)
+    if cert is None:
+        cert = certify(f, forms_a if a == b else curves(b, math.comb(b - a + 2, 2) + 1))
+    if cert is None:
+        raise NotCompleteIntersection(
+            f"every form of I_{b} shares a factor with the degree-{a} generator"
+        )
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +623,6 @@ class GeprociVerdict:
         return d
 
 
-def _scheme_field(Z):
-    return Z.field
-
-
 def _scheme_length(Z) -> int:
     if hasattr(Z, "scheme_length"):
         return Z.scheme_length()
@@ -693,11 +648,13 @@ def geproci_check(
     """Decide whether Z is (alpha, beta)-geproci.
 
     GENERIC mode runs once and is conclusive.  RANDOM mode runs `trials`
-    seeded instances; a negative at any random point is conclusive (the
-    kernel dimension can only grow under specialization), while uniform
-    success is reported with a polynomial-identity-testing failure bound.
+    seeded instances and stops at the first negative.  Curve spaces can
+    only grow under specialization, so a dim I_d below the complete
+    intersection value refutes; one above it, or a shared factor, at a
+    sampled point is not a proof.  Uniform success is reported with a
+    polynomial-identity-testing failure bound.
     """
-    field = _scheme_field(Z)
+    field = Z.field
     length = _scheme_length(Z)
     if length != alpha * beta:
         raise LengthMismatch(f"scheme length {length} != {alpha}*{beta}")
@@ -707,7 +664,7 @@ def geproci_check(
         hints = _structural_hints(Z, S, alpha, beta, field)
         try:
             cert = certify_complete_intersection(S, alpha, beta, hints)
-        except (NoCurveOfDegree, AllPairsShareComponent) as e:
+        except NotCompleteIntersection as e:
             return GeprociVerdict(False, alpha, beta, mode, None, reason=str(e))
         return GeprociVerdict(True, alpha, beta, mode, cert, reason="complete intersection certified")
     if mode != "random":
@@ -731,7 +688,7 @@ def geproci_check(
         hints = _structural_hints(Z, S, alpha, beta, field)
         try:
             cert = certify_complete_intersection(S, alpha, beta, hints)
-        except (NoCurveOfDegree, AllPairsShareComponent) as e:
+        except NotCompleteIntersection as e:
             return GeprociVerdict(
                 False, alpha, beta, mode, None, trials=t + 1,
                 reason=f"trial {t}: {e}",
@@ -842,12 +799,9 @@ def residual_check(Z: PointSet, Zp: PointSet, alpha: int, gamma: int, beta: int)
     # I(Z) ⊆ I(Z'), so any degree-beta curve through the projection of Z
     # works for both; structural candidates are tried before interpolation
     hints = _structural_hints(Z, S, beta, beta, Z.field)
-    shared = None
     Sp = project(Zp, P)
-    for h in _candidates_for_degree(S, beta, hints):
-        if _vanishes_on(h, Sp):
-            shared = h
-            break
+    candidates = [h for h in hints if _vanishes_on(h, S)] + interpolate_curve(S, beta).forms
+    shared = next((h for h in candidates if _vanishes_on(h, Sp)), None)
     if shared is None:
         raise SharedGeneratorMissing(f"no degree-{beta} curve through both projections")
     Zpp = Z.minus(Zp)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from geproci import core
+from geproci import core, fatpoints
 from geproci.fields import extend_field, parse_field_spec
 from geproci.multipoly import evaluate, scalar_is_zero, ScalarRing
 from geproci.projgeom import (
@@ -40,38 +40,38 @@ def test_on_line_agrees_with_rank_test(forty_points_q7):
     Z = forty_points_q7
     F = Z.field
     E = extend_field(F, 12)
-    secants = [l for l, _ in collinear_subsets(Z, 2)]
+    secants = collinear_subsets(Z, 2)
     rng = random.Random(5)
     for _ in range(3):
         p = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
-        for line in secants:
-            assert core._on_line(p, line, E) == _rank_on_line(p, line, E)
+        for line, (u, v, *_) in secants:
+            assert core._on_secant(p, u, v, E) == _rank_on_line(p, line, E)
     # points built on a secant are on it; in E and in the line's own field
-    for line in secants[::10]:
+    for line, (u, v, *_) in secants[::10]:
         r0, r1 = ([E.lift_rep(F, c) for c in row] for row in line.rows)
         for _ in range(3):
             s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
             p = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
                                     for x, y in zip(r0, r1)])
-            assert core._on_line(p, line, E) and _rank_on_line(p, line, E)
+            assert core._on_secant(p, u, v, E) and _rank_on_line(p, line, E)
         for p in Z.points:
-            assert core._on_line(p, line, F) == _rank_on_line(p, line, F)
-        assert sum(core._on_line(p, line, F) for p in line.points()) == F.size + 1
+            assert core._on_secant(p, u, v, F) == _rank_on_line(p, line, F)
+        assert sum(core._on_secant(p, u, v, F) for p in line.points()) == F.size + 1
 
 
 def test_on_line_over_a_tower_base(F4):
     Z = PointSet(F4, list(enumerate_projective_space(F4, 3))[:12], 3)
     E = extend_field(F4, 3)
     rng = random.Random(2)
-    for line in [l for l, _ in collinear_subsets(Z, 2)]:
+    for line, (u, v, *_) in collinear_subsets(Z, 2):
         r0, r1 = ([E.lift_rep(F4, c) for c in row] for row in line.rows)
         s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
         on = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
                                  for x, y in zip(r0, r1)])
         off = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
         for p in (on, off):
-            assert core._on_line(p, line, E) == _rank_on_line(p, line, E)
-        assert core._on_line(on, line, E)
+            assert core._on_secant(p, u, v, E) == _rank_on_line(p, line, E)
+        assert core._on_secant(on, u, v, E)
 
 
 def test_projection_images_and_collision(F2, P3F2):
@@ -152,8 +152,49 @@ def test_geproci_check_negative(F3):
     # coplanar, whose projection is 12 collinear-image-free points on a line
     plane = [p for p in enumerate_projective_space(F3, 3) if p.reps[3] == 0]
     Z = PointSet(F3, plane[:12], 3)
-    v = core.geproci_check(Z, 3, 4, mode="generic")
-    assert not v.geproci
+    for mode in ("generic", "random"):
+        v = core.geproci_check(Z, 3, 4, mode=mode, trials=1)
+        assert v.geproci is False
+        assert "dim I_3 = 0, a complete intersection of type (3,4) needs 1" in v.reason
+
+
+@pytest.mark.parametrize("mode", ["generic", "random"])
+def test_geproci_check_refutations(F3, mode):
+    line = all_lines(F3)[0].points()
+    off = next(p for p in enumerate_projective_space(F3, 3) if p not in line)
+    # four collinear points: the conics through them are the line times
+    # any linear form, a net where a (2,2) complete intersection has a pencil
+    v = core.geproci_check(PointSet(F3, line, 3), 2, 2, mode=mode, trials=1)
+    assert v.geproci is False
+    assert v.reason.endswith("dim I_2 = 3, a complete intersection of type (2,2) needs 2")
+    # three collinear points and one more: a pencil of conics, all through the line
+    v = core.geproci_check(PointSet(F3, line[:3] + (off,), 3), 2, 2, mode=mode, trials=1)
+    assert v.geproci is False
+    assert v.reason.endswith("every form of I_2 shares a factor with the degree-2 generator")
+    # the line and a quartic through its four points
+    v = core.geproci_check(PointSet(F3, line, 3), 1, 4, mode=mode, trials=1)
+    assert v.geproci is True
+
+
+def test_certification_computes_only_the_kernels_it_reads(monkeypatch, mps7_q3, forty_points_q7, F2):
+    degrees = []
+    interpolate = core.interpolate_curve
+
+    def recording(S, degree):
+        degrees.append(degree)
+        return interpolate(S, degree)
+
+    monkeypatch.setattr(core, "interpolate_curve", recording)
+    checks = [
+        (lambda: core.geproci_check(complement_points(mps7_q3), 3, 4, mode="generic"), [3]),
+        (lambda: fatpoints.scheme_geproci_check(
+            fatpoints.example_concurrent_nine(F2), 3, 3, mode="generic"), [3]),
+        (lambda: core.geproci_check(forty_points_q7, 5, 8, mode="random", trials=1), [5]),
+    ]
+    for check, expected in checks:
+        degrees.clear()
+        assert check().geproci
+        assert degrees == expected
 
 
 def test_random_mode_agrees_with_generic(P3F2):
