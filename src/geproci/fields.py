@@ -22,7 +22,10 @@ bound simulated once per layer.
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
 coordinates are polynomials in a, b, c, so no fraction and no polynomial
-gcd is ever needed.
+gcd is ever needed.  Each monomial is one packed int key: the total degree
+in the top field, then one EXP_BITS-wide field per variable, first variable
+first.  Int order is then graded-lex order, and a monomial product is one
+int addition.
 """
 from __future__ import annotations
 
@@ -937,15 +940,32 @@ def parse_field_spec(spec: str):
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials over a finite coefficient field
 
+# Width in bits of one per-variable exponent field of a packed monomial key.
+EXP_BITS = 16
+_EXP_MASK = (1 << EXP_BITS) - 1
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial; coefficients are raw field reps."""
+    """Sparse multivariate polynomial; coefficients are raw field reps.
+
+    ``terms`` maps a packed monomial key to a nonzero rep.  With n = len(names)
+    and W = EXP_BITS, the monomial names[0]^e_0 ... names[n-1]^e_{n-1} of
+    total degree d has the key
+
+        d << (n*W) | e_0 << ((n-1)*W) | ... | e_{n-1}
+
+    so int order is graded-lex order, the leading term is ``max(terms)``, the
+    degree is the key's top field and a monomial product is one int addition.
+    Every exponent is at most the total degree, so a product of degree 2^W or
+    more raises OverflowError before any field could carry into the next.
+    """
 
     __slots__ = ("field", "names", "terms")
 
     def __init__(self, field, names: tuple, terms: dict):
         self.field = field
         self.names = names
-        self.terms = terms  # dict exps-tuple -> nonzero rep
+        self.terms = terms  # dict packed key -> nonzero rep
 
     # constructors -----------------------------------------------------
     @classmethod
@@ -954,54 +974,51 @@ class MultiPoly:
 
     @classmethod
     def const(cls, field, names, value):
-        e = field.element(value) if not isinstance(value, FieldElement) else value
+        e = field.element(value)  # lifts an element of a subfield
         if e.is_zero():
             return cls.zero(field, names)
-        return cls(field, names, {(0,) * len(names): e.rep})
+        return cls(field, names, {0: e.rep})
 
     @classmethod
     def var(cls, field, names, name):
-        i = names.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(names)))
-        return cls(field, names, {exps: field.one_rep})
+        n = len(names)
+        key = 1 << (n * EXP_BITS) | 1 << ((n - 1 - names.index(name)) * EXP_BITS)
+        return cls(field, names, {key: field.one_rep})
 
     # basics -----------------------------------------------------------
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return len(self.terms) == 0 or (
-            len(self.terms) == 1 and next(iter(self.terms)) == (0,) * len(self.names)
-        )
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
+        if not self.terms:
+            return -1
+        return max(self.terms) >> (len(self.names) * EXP_BITS)
+
+    def exps(self, key: int) -> tuple:
+        """The per-variable exponents of a packed key, first variable first."""
+        n = len(self.names)
+        return tuple((key >> ((n - 1 - i) * EXP_BITS)) & _EXP_MASK for i in range(n))
 
     def constant_value(self) -> FieldElement:
-        z = (0,) * len(self.names)
-        rep = self.terms.get(z, self.field.zero_rep)
-        return FieldElement(self.field, rep)
+        return FieldElement(self.field, self.terms.get(0, self.field.zero_rep))
 
     def leading(self):
-        """(exps, rep) of the graded-lex leading term."""
-        key = max(self.terms, key=lambda e: (sum(e), e))
+        """(key, rep) of the graded-lex leading term."""
+        key = max(self.terms)
         return key, self.terms[key]
 
     # arithmetic -------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, FieldElement)):
-            return MultiPoly.const(self.field, self.names, other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, FieldElement)):
+            other = MultiPoly.const(self.field, self.names, other)  # one term, key 0
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
         F = self.field
         out = dict(self.terms)
-        for e, v in o.terms.items():
+        for e, v in other.terms.items():
             if e in out:
                 s = F.add_rep(out[e], v)
                 if F.rep_is_zero(s):
@@ -1019,32 +1036,38 @@ class MultiPoly:
         return MultiPoly(F, self.names, {e: F.neg_rep(v) for e, v in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (MultiPoly, int, FieldElement)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, FieldElement)):
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         F = self.field
-        if not self.terms or not o.terms:
-            return MultiPoly.zero(F, self.names)
-        a, b = self.terms, o.terms
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, FieldElement)):
+                return NotImplemented
+            c = F.element(other).rep  # lifts an element of a subfield
+            if F.rep_is_zero(c):
+                return MultiPoly(F, self.names, {})
+            mul_rep = F.mul_rep
+            return MultiPoly(F, self.names, {e: mul_rep(v, c) for e, v in self.terms.items()})
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly(F, self.names, {})
+        shift = len(self.names) * EXP_BITS
+        if (max(a) >> shift) + (max(b) >> shift) > _EXP_MASK:
+            raise OverflowError(f"a product of degree >= 2^{EXP_BITS} overflows a packed exponent")
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
         add_rep, mul_rep, is0 = F.add_rep, F.mul_rep, F.rep_is_zero
         for e1, v1 in a.items():
             for e2, v2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = e1 + e2
                 prod = mul_rep(v1, v2)
                 if e in out:
                     s = add_rep(out[e], prod)
@@ -1052,7 +1075,7 @@ class MultiPoly:
                         del out[e]
                     else:
                         out[e] = s
-                elif not is0(prod):
+                else:  # a product of nonzero field elements is nonzero
                     out[e] = prod
         return MultiPoly(F, self.names, out)
 
@@ -1064,15 +1087,17 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square past the top bit, which could overflow
+                base = base * base
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, FieldElement)):
+            other = MultiPoly.const(self.field, self.names, other)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == o.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.names, tuple(sorted(self.terms.items()))))
@@ -1084,12 +1109,12 @@ class MultiPoly:
         reps = [v.rep for v in values]
         total = F.zero_rep
         powers: dict = {}
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             prod = F.lift_rep(self.field, c) if F is not self.field else c
-            for i, e in enumerate(exps):
+            for i, e in enumerate(self.exps(key)):
                 if e:
-                    key = (i, e)
-                    if key not in powers:
+                    pk = (i, e)
+                    if pk not in powers:
                         r = F.one_rep
                         b, k = reps[i], e
                         while k:
@@ -1097,8 +1122,8 @@ class MultiPoly:
                                 r = F.mul_rep(r, b)
                             b = F.mul_rep(b, b)
                             k >>= 1
-                        powers[key] = r
-                    prod = F.mul_rep(prod, powers[key])
+                        powers[pk] = r
+                    prod = F.mul_rep(prod, powers[pk])
             total = F.add_rep(total, prod)
         return FieldElement(F, total)
 
@@ -1113,17 +1138,17 @@ class MultiPoly:
         rem = dict(self.terms)
         out: dict = {}
         dlead_e, dlead_c = divisor.leading()
+        dlead_exps = self.exps(dlead_e)
         dinv = F.inv_rep(dlead_c)
         while rem:
-            e = max(rem, key=lambda x: (sum(x), x))
-            c = rem[e]
-            qe = tuple(a - b for a, b in zip(e, dlead_e))
-            if any(x < 0 for x in qe):
+            e = max(rem)
+            if any(a < b for a, b in zip(self.exps(e), dlead_exps)):
                 raise ValueError("inexact polynomial division")
-            qc = F.mul_rep(c, dinv)
+            qe = e - dlead_e
+            qc = F.mul_rep(rem[e], dinv)
             out[qe] = qc
             for de, dv in divisor.terms.items():
-                te = tuple(a + b for a, b in zip(qe, de))
+                te = qe + de
                 s = F.sub_rep(rem.get(te, F.zero_rep), F.mul_rep(qc, dv))
                 if F.rep_is_zero(s):
                     rem.pop(te, None)
@@ -1139,11 +1164,10 @@ def poly_str(f: MultiPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for exps in sorted(f.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-        c = f.terms[exps]
-        idx = f.field.rep_to_index(c)
+    for key in sorted(f.terms, reverse=True):
+        idx = f.field.rep_to_index(f.terms[key])
         mono = " ".join(
-            f"{n}^{e}" if e > 1 else n for n, e in zip(f.names, exps) if e
+            f"{n}^{e}" if e > 1 else n for n, e in zip(f.names, f.exps(key)) if e
         )
         if not mono:
             parts.append(str(idx))

@@ -722,18 +722,20 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
 
     names = VAR_NAMES[:3]
     for var, shear in candidates:
+        # skip a candidate before shearing: its pure-power coefficient is
+        # the value at (1, t1, t2), 1 at position var, t1 = t2 = 0 unsheared
+        o1, o2 = others[var]
+        t1, t2 = shear if shear is not None else (ring.zero(), ring.zero())
+        at = [None] * 3
+        at[var], at[o1], at[o2] = ring.one(), t1, t2
+        if scalar_is_zero(evaluate(f, at)) or scalar_is_zero(evaluate(g, at)):
+            continue
         ff_, gg_ = f, g
         shear_desc = None
         if shear is not None:
-            t1, t2 = shear
-            o1, o2 = others[var]
             ff_ = _shear_form(_shear_form(f, var, o1, t1), var, o2, t2)
             gg_ = _shear_form(_shear_form(g, var, o1, t1), var, o2, t2)
             shear_desc = (names[var], _scalar_str(t1), _scalar_str(t2))
-        pure_f = tuple(f.degree if i == var else 0 for i in range(3))
-        pure_g = tuple(g.degree if i == var else 0 for i in range(3))
-        if pure_f not in ff_.coeffs or pure_g not in gg_.coeffs:
-            continue
         # the pure-power coefficients are nonzero constants, so the
         # specialized degrees never drop and each evaluation below equals
         # the degree-D binary resultant form at the point (1, t)

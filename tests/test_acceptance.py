@@ -3,6 +3,7 @@
 Every assertion here is exact (integer or field arithmetic); there are no
 numerical tolerances anywhere.
 """
+import hashlib
 import itertools
 import math
 import random
@@ -360,3 +361,28 @@ def test_kernel_soundness_rechecks(F5):
         kern = kernel_of_conditions(mat)
         assert kern.recheck()
         assert kern.dimension + kern.rank == 10
+
+
+# 12. certificate text of the generic checks ---------------------------------
+
+FORMS_SHA256 = {
+    "mps-q3": "80816f8587215f1c6a5faefda3fe96af4c77c73b1266df0241d4564a1838d252",
+    "concurrent-nine": "bab50ef209c3adec0c07bf27c2cdea8c9a18e40985d0ea0f880d4defbeb785a3",
+    "PG(3,3)": "5b1a3fed98b261e117958b8bcb7bafd6dfbbd6451e6cc9223dcdb35086a8ced0",
+}
+
+
+def test_generic_certificate_forms_are_pinned(mps7_q3, P3F3):
+    """The run reports compare verdicts, not certificate text; pin the text
+    of the serialized forms of three generic certificates."""
+    checks = {
+        "mps-q3": lambda: core.geproci_check(complement_points(mps7_q3), 3, 4),
+        "concurrent-nine": lambda: fatpoints.scheme_geproci_check(
+            fatpoints.read_scheme(fixture_text("concurrent-nine-q2.scheme")), 3, 3),
+        "PG(3,3)": lambda: core.geproci_check(P3F3, 4, 10),
+    }
+    for name, check in checks.items():
+        v = check()
+        assert v.geproci and v.certificate.mode == "generic"
+        forms = "\n".join(v.certificate.to_dict()["forms"])
+        assert hashlib.sha256(forms.encode()).hexdigest() == FORMS_SHA256[name], name

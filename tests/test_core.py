@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from geproci import core, fatpoints
+from geproci import core, fatpoints, multipoly
 from geproci.fields import extend_field, parse_field_spec
 from geproci.multipoly import evaluate, scalar_is_zero, ScalarRing
 from geproci.projgeom import (
@@ -195,6 +195,26 @@ def test_certification_computes_only_the_kernels_it_reads(monkeypatch, mps7_q3, 
         degrees.clear()
         assert check().geproci
         assert degrees == expected
+
+
+def test_coprime_certificate_shears_only_the_usable_candidate(monkeypatch, forty_points_q7):
+    # the cone pair of the 40-point set has no pure powers and its first
+    # shear scalars are F_7-rational, so several candidates are unusable;
+    # they are skipped by one evaluation each, and only the chosen one is
+    # sheared: 2 forms x 2 shears
+    calls = []
+    shear = multipoly._shear_form
+
+    def counting(*args):
+        calls.append(args)
+        return shear(*args)
+
+    monkeypatch.setattr(multipoly, "_shear_form", counting)
+    v = core.geproci_check(forty_points_q7, 5, 8, mode="random", seed=0, trials=1)
+    assert v.geproci
+    assert len(calls) == 4
+    witness = v.certificate.coprimality
+    assert (witness.variable, witness.shear) == ("x", ("x", "0", "7"))
 
 
 def test_random_mode_agrees_with_generic(P3F2):

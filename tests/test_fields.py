@@ -401,3 +401,104 @@ def test_smallest_irreducible_is_memoized_and_fresh():
     first.append(99)
     assert smallest_irreducible(F, 4) == first[:-1]
     assert is_irreducible(F, smallest_irreducible(F, 4))
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly: packed graded exponent keys
+
+NAMES = ("a", "b", "c")
+
+
+def _random_poly(F, rng, nterms=8, maxdeg=5):
+    """A random polynomial through the public arithmetic, and the same
+    polynomial as a dict exponent-tuple -> rep built without packed keys."""
+    gens = [MultiPoly.var(F, NAMES, n) for n in NAMES]
+    poly = MultiPoly.zero(F, NAMES)
+    oracle = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randrange(maxdeg + 1) for _ in NAMES)
+        c = F.from_index(rng.randrange(1, F.size))
+        mono = MultiPoly.const(F, NAMES, c)
+        for g, e in zip(gens, exps):
+            mono = mono * g ** e
+        poly = poly + mono
+        s = F.add_rep(oracle.get(exps, F.zero_rep), c.rep)
+        if F.rep_is_zero(s):
+            oracle.pop(exps, None)
+        else:
+            oracle[exps] = s
+    return poly, oracle
+
+
+def _unpacked(poly):
+    return {poly.exps(k): v for k, v in poly.terms.items()}
+
+
+@pytest.mark.parametrize("spec", ["p=3", "p=2;ext=2"])
+def test_multipoly_leading_and_degree_match_tuple_order(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(7)
+    for _ in range(40):
+        f, f_oracle = _random_poly(F, rng)
+        g, g_oracle = _random_poly(F, rng, nterms=4)
+        assert _unpacked(f) == f_oracle
+        if not f_oracle:
+            continue
+        lead = max(f_oracle, key=lambda e: (sum(e), e))
+        key, rep = f.leading()
+        assert (f.exps(key), rep) == (lead, f_oracle[lead])
+        assert f.degree() == sum(lead)
+        # a product's keys are sums of keys: compare with a tuple-keyed product
+        prod = {}
+        for e1, v1 in f_oracle.items():
+            for e2, v2 in g_oracle.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                prod[e] = F.add_rep(prod.get(e, F.zero_rep), F.mul_rep(v1, v2))
+        assert _unpacked(f * g) == {e: v for e, v in prod.items() if not F.rep_is_zero(v)}
+
+
+def test_multipoly_degree_of_zero_and_constants(F3):
+    assert MultiPoly.zero(F3, NAMES).degree() == -1
+    assert MultiPoly.const(F3, NAMES, 2).degree() == 0
+    assert MultiPoly.var(F3, NAMES, "c").degree() == 1
+
+
+def test_poly_str_term_order(F3):
+    a, b, c = (MultiPoly.var(F3, NAMES, n) for n in NAMES)
+    f = 2 + c + b ** 2 + a * b + a * c ** 2 + 2 * a ** 3
+    assert repr(f) == "2 a^3 + a c^2 + a b + b^2 + c + 2"
+
+
+def test_exact_div_rejects_a_negative_exponent(F3):
+    a, b, _ = (MultiPoly.var(F3, NAMES, n) for n in NAMES)
+    # the total degrees divide (2 >= 1), but the quotient would need b^-1
+    with pytest.raises(ValueError):
+        (a ** 2).exact_div(b)
+    assert (a ** 2 * b + a * b).exact_div(b) == a ** 2 + a
+
+
+def test_multipoly_exponent_overflow_raises(F3):
+    a = MultiPoly.var(F3, NAMES, "a")
+    top = a ** ((1 << fields.EXP_BITS) - 1)
+    assert top.degree() == (1 << fields.EXP_BITS) - 1
+    assert top.exps(top.leading()[0]) == ((1 << fields.EXP_BITS) - 1, 0, 0)
+    with pytest.raises(OverflowError):
+        top * a
+    with pytest.raises(OverflowError):
+        a ** (1 << fields.EXP_BITS)
+
+
+@pytest.mark.parametrize("spec", ["p=3", "p=2;ext=2"])
+def test_multipoly_scalar_arithmetic_matches_constant_polynomials(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(11)
+    f, _ = _random_poly(F, rng)
+    prime = parse_field_spec(f"p={F.char}")
+    scalars = [F.from_index(i) for i in range(F.size)] + [prime.one(), 0, 1, 5, -3]
+    for s in scalars:
+        k = MultiPoly.const(F, NAMES, s)
+        assert (f * s).terms == (s * f).terms == (f * k).terms
+        assert (f + s).terms == (s + f).terms == (f + k).terms
+        assert (f - s).terms == (f - k).terms
+        assert (s - f).terms == (k - f).terms
+        assert (f - f + s).terms == k.terms
