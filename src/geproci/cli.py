@@ -282,10 +282,8 @@ def _reproduce_ex_40pt_q7(report):
     F = Z.field
     report["points"] = len(Z.points)
     report["hilbert_4"] = hilbert_value(Z, 4)
-    keys = {p.key() for p in Z.points}
     max_meet = max(map(len, collinear_classes(Z)))
-    comp = PointSet(F, [p for p in enumerate_projective_space(F, 3)
-                        if p.key() not in keys], 3)
+    comp = enumerate_projective_space(F, 3).minus(Z)
     part = spreads.partition_into_lines(comp)
     if isinstance(part, spreads.NoPartition):
         report.anomaly(f"complement does not partition into lines: {part.reason}")

@@ -38,7 +38,7 @@ from .multipoly import (
     monomials,
     scalar_is_zero,
 )
-from .projgeom import PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, is_coplanar, lines_skew
+from .projgeom import PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, exact_cover, is_coplanar
 
 
 class CoreError(Exception):
@@ -559,31 +559,11 @@ def _collinear_partition(Z: PointSet, parts: int):
     classes = collinear_classes(Z)
     # try larger classes first so the part count shrinks fastest
     classes.sort(key=lambda c: (-len(c), c))
-    pts = Z.points
-    masks = [(sum(1 << i for i in c), tuple(pts[i] for i in c)) for c in classes]
-    target = (1 << len(pts)) - 1
-    chosen = []
-    max_class = max((len(ms) for ms in classes), default=0)
-
-    def rec(mask, used):
-        if mask == 0:
-            return used == parts
-        if used >= parts:
-            return False
-        if mask.bit_count() > (parts - used) * max_class:
-            return False
-        low = (mask & -mask).bit_length() - 1
-        for m, ms in masks:
-            if m & (1 << low) and m & mask == m:
-                chosen.append(ms)
-                if rec(mask & ~m, used + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if rec(target, 0):
-        return list(chosen)
-    return None
+    masks = [sum(1 << i for i in c) for c in classes]
+    chosen = exact_cover(masks, (1 << len(Z)) - 1, parts)
+    if chosen is None:
+        return None
+    return [tuple(Z.points[i] for i in classes[k]) for k in chosen]
 
 
 def frobenius_curve_candidate(Z, S: ProjectedScheme, degree: int, field) -> list:
@@ -674,17 +654,10 @@ def geproci_check(
     cert = None
     m = None
     for t in range(trials):
-        trial_seed = seed + t
-        for attempt in range(32):
-            P = GeneralPoint.random(field, trial_seed * 1000 + attempt, avoid=avoid)
-            m = P.m
-            try:
-                S = project(Z, P)
-            except CollisionDetected:
-                continue
-            break
-        else:
-            raise CoreError("could not find a collision-free random point")
+        # off every secant of the support, so no two images collide
+        P = GeneralPoint.random(field, (seed + t) * 1000, avoid=avoid)
+        m = P.m
+        S = project(Z, P)
         hints = _structural_hints(Z, S, alpha, beta, field)
         try:
             cert = certify_complete_intersection(S, alpha, beta, hints)
@@ -710,7 +683,6 @@ class ClassificationFlags:
     grid: bool
     half_grid_cover: bool
     nontrivial: bool
-    cover: Optional[list] = None
 
     def to_dict(self):
         return {
@@ -723,40 +695,22 @@ class ClassificationFlags:
 
 def skew_line_cover(Z: PointSet, count: int, per: int):
     """Cover of Z by `count` pairwise-skew lines with exactly `per` points
-    of Z each, or None."""
+    of Z each, or None.
+
+    A line's mask holds all q+1 of its points, those off Z at bits past
+    len(Z).  Lines covering Z exactly can meet only off Z, so using each
+    of those bits at most once makes them pairwise skew."""
     if count * per != len(Z):
         return None
-    usable = []
-    for line, members in collinear_subsets(Z, per):
-        if len(members) == per:
-            usable.append((line, members))
-    keys = sorted(p.key() for p in Z.points)
-    index = {k: i for i, k in enumerate(keys)}
+    lines = [line for line, members in collinear_subsets(Z, per) if len(members) == per]
+    index = {p: i for i, p in enumerate(Z.points)}
     masks = []
-    for line, members in usable:
-        m = 0
-        for p in members:
-            m |= 1 << index[p.key()]
-        masks.append((m, line))
-    target = (1 << len(keys)) - 1
-    chosen = []
-
-    def rec(mask):
-        if mask == 0:
-            return True
-        low = (mask & -mask).bit_length() - 1
-        for m, line in masks:
-            if m & (1 << low) and m & mask == m:
-                if all(lines_skew(line, c) for c in chosen):
-                    chosen.append(line)
-                    if rec(mask & ~m):
-                        return True
-                    chosen.pop()
-        return False
-
-    if rec(target):
-        return list(chosen)
-    return None
+    for line in lines:
+        for p in line.points():
+            index.setdefault(p, len(index))
+        masks.append(sum(1 << index[p] for p in line.points()))
+    chosen = exact_cover(masks, (1 << len(Z)) - 1)
+    return None if chosen is None else [lines[k] for k in chosen]
 
 
 def classify(Z: PointSet, alpha: int, beta: int) -> ClassificationFlags:
@@ -766,13 +720,11 @@ def classify(Z: PointSet, alpha: int, beta: int) -> ClassificationFlags:
     cover_ba = skew_line_cover(Z, beta, alpha)
     grid = cover_ab is not None and cover_ba is not None
     half = (cover_ab is not None or cover_ba is not None) and not grid
-    cover = cover_ab if cover_ab is not None else cover_ba
     return ClassificationFlags(
         degenerate=degenerate,
         grid=grid and not degenerate,
         half_grid_cover=half and not degenerate,
         nontrivial=not degenerate and not grid and not half,
-        cover=cover,
     )
 
 

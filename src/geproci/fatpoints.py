@@ -47,6 +47,9 @@ class FatPointScheme:
         for A, B in self.doubled:
             if A == B:
                 raise SchemeError("support and direction points must be distinct")
+        listed = self.simple + tuple(A for A, _ in self.doubled)
+        if len(set(listed)) != len(listed):
+            raise SchemeError("a point is listed twice (as simple or doubled points)")
 
     def scheme_length(self) -> int:
         return len(self.simple) + 2 * len(self.doubled)

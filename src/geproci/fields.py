@@ -568,15 +568,6 @@ class FieldElement:
         except NotASubfield:
             raise FieldError("elements of incompatible fields")
 
-    def _coerce(self, other):
-        pair = self._pair(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b = pair
-        if a.field is not self.field:
-            raise FieldError("elements of incompatible fields")
-        return b
-
     def __add__(self, other):
         pair = self._pair(other)
         if pair is NotImplemented:

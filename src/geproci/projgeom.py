@@ -297,6 +297,49 @@ def collinear_subsets(Z: PointSet, k: int = 3) -> list:
     return out
 
 
+def exact_cover(masks: Sequence[int], target: int, parts: int = None):
+    """Indices of pairwise disjoint masks covering every bit of `target`
+    exactly once, in the order chosen, or None.  A bit outside `target` may
+    be used at most once (a secondary column); `parts` fixes the number
+    of masks.
+
+    Branches on the lowest uncovered bit of `target`, trying the masks
+    through it in the given order.  A node is pruned when the masks that
+    still fit cannot cover the bits left, or when the masks still to be
+    chosen for `parts` are too few or too many for them; the prunes cut
+    only subtrees without a cover, so the cover found is the first one in
+    that order.
+    """
+    sizes = [(m & target).bit_count() for m in masks if m & target]
+    widest, narrowest = max(sizes, default=0), min(sizes, default=0)
+    chosen = []
+
+    def rec(left, fit):
+        # fit: the indices, in order, of the masks disjoint from all chosen
+        if not left:
+            return parts is None or len(chosen) == parts
+        if parts is not None:
+            more = parts - len(chosen)
+            if not more * narrowest <= left.bit_count() <= more * widest:
+                return False
+        reach = 0
+        for i in fit:
+            reach |= masks[i]
+        if left & ~reach:
+            return False
+        low = left & -left
+        for i in fit:
+            m = masks[i]
+            if m & low:
+                chosen.append(i)
+                if rec(left & ~m, [j for j in fit if not masks[j] & m]):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if rec(target, range(len(masks))) else None
+
+
 def is_coplanar(Z: PointSet) -> bool:
     rows = [list(p.reps) for p in Z.points]
     return matrix_rank(Z.field, rows) <= 3

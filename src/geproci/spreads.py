@@ -20,8 +20,8 @@ from .projgeom import (
     ProjectivePoint,
     all_lines,
     collinear_classes,
-    collinear_subsets,
     enumerate_projective_space,
+    exact_cover,
     line_through,
     lines_skew,
     _format_coord,
@@ -401,45 +401,13 @@ def partition_into_lines(Z: PointSet):
     if len(Z) % (q + 1) != 0:
         return NoPartition(f"|Z| = {len(Z)} is not a multiple of q+1 = {q + 1}")
     # every collinear (q+1)-subset is a complete line of PG(3,q)
-    full_lines = collinear_subsets(Z, q + 1)
-    index = {p: i for i, p in enumerate(Z.points)}
-    line_masks = [sum(1 << index[p] for p in members) for _, members in full_lines]
-    target = (1 << len(Z)) - 1
-
-    point_lines = [[] for _ in Z.points]
-    for idx, lm in enumerate(line_masks):
-        m = lm
-        while m:
-            point_lines[(m & -m).bit_length() - 1].append(idx)
-            m &= m - 1
-
-    chosen: list = []
-
-    def cover(mask):
-        if mask == 0:
-            return True
-        # branch on the uncovered point with the fewest available lines
-        best_opts = None
-        m = mask
-        while m:
-            low = (m & -m).bit_length() - 1
-            m &= m - 1
-            opts = [i for i in point_lines[low]
-                    if line_masks[i] & mask == line_masks[i]]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_opts = opts
-                if len(opts) <= 1:
-                    break
-        for idx in best_opts:
-            chosen.append(idx)
-            if cover(mask & ~line_masks[idx]):
-                return True
-            chosen.pop()
-        return False
-
-    if not cover(target):
+    full = [c for c in collinear_classes(Z) if len(c) == q + 1]
+    masks = [sum(1 << i for i in c) for c in full]
+    chosen = exact_cover(masks, (1 << len(Z)) - 1)
+    if chosen is None:
         return NoPartition("no exact cover by full lines exists")
-    return [full_lines[i][0] for i in chosen]
+    pts = Z.points
+    return [line_through(pts[full[k][0]], pts[full[k][1]]) for k in chosen]
 
 
 # ---------------------------------------------------------------------------

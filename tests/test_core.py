@@ -225,6 +225,13 @@ def test_random_mode_agrees_with_generic(P3F2):
         assert r.failure_bound is not None
 
 
+def test_random_trial_t_samples_once_at_seed_plus_t_times_1000(P3F2):
+    v = core.geproci_check(P3F2, 3, 5, mode="random", seed=4, trials=2)
+    assert v.certificate.seed == 5000
+    S = fatpoints.example_concurrent_nine(P3F2.field)
+    assert fatpoints.scheme_geproci_check(S, 3, 3, mode="random", seed=2, trials=1).certificate.seed == 2000
+
+
 def test_verdict_to_dict_roundtrips_to_json(P3F2):
     import json
 

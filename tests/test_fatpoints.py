@@ -31,6 +31,14 @@ def test_support_and_direction_must_differ(F2):
         fp.FatPointScheme(F2, [], [(p, p)], 3)
 
 
+@pytest.mark.parametrize("shape", ["simple and doubled", "doubled twice"])
+def test_a_point_listed_twice_is_rejected(F2, shape):
+    A, B, C = _pt(F2, 1, 0, 0, 0), _pt(F2, 0, 1, 0, 0), _pt(F2, 0, 0, 1, 0)
+    simple, doubled = ([A], [(A, B)]) if shape == "simple and doubled" else ([], [(A, B), (A, C)])
+    with pytest.raises(fp.SchemeError, match="listed twice"):
+        fp.FatPointScheme(F2, simple, doubled, 3)
+
+
 def test_infinitesimal_conditions_distinguish_direction(F2):
     """Two schemes with the same supports but different directions have
     different cubic kernels."""

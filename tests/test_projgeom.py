@@ -1,4 +1,6 @@
 """PG(3,q) points, lines, incidence, and file formats."""
+import functools
+import itertools
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from geproci.projgeom import (
     collinear_classes,
     collinear_subsets,
     enumerate_projective_space,
+    exact_cover,
     is_coplanar,
     line_through,
     lines_skew,
@@ -191,3 +194,281 @@ def test_collinear_classes_of_small_sets(F3):
     assert collinear_classes(empty) == []
     one = PointSet(F3, [ProjectivePoint(F3, [0, 0, 1, 2])], 3)
     assert collinear_classes(one) == []
+
+
+# ---------------------------------------------------------------------------
+# exact cover, and its three callers against the searches they replaced
+
+def test_exact_cover_respects_parts():
+    masks = [0b11, 0b01, 0b10]
+    assert exact_cover(masks, 0b11) == [0]
+    assert exact_cover(masks, 0b11, 1) == [0]
+    assert exact_cover(masks, 0b11, 2) == [1, 2]
+    assert exact_cover(masks, 0b11, 3) is None
+    # the only cover has 2 parts
+    assert exact_cover([0b0011, 0b1100, 0b0001], 0b1111, 3) is None
+
+
+def test_exact_cover_uses_a_bit_outside_the_target_at_most_once():
+    # bit 2 is outside the target: masks 0 and 1 may not both be used
+    assert exact_cover([0b101, 0b110], 0b011) is None
+    assert exact_cover([0b101, 0b110, 0b010], 0b011) == [0, 2]
+    assert exact_cover([0b101, 0b110, 0b001], 0b011) == [2, 1]
+
+
+def test_exact_cover_of_an_empty_target():
+    assert exact_cover([], 0) == []
+    assert exact_cover([0b1], 0) == []
+    assert exact_cover([0b1], 0, 0) == []
+    assert exact_cover([0b1], 0, 1) is None
+
+
+def test_exact_cover_of_an_uncoverable_target():
+    assert exact_cover([], 0b1) is None
+    assert exact_cover([0b01], 0b11) is None
+    assert exact_cover([0b011, 0b110], 0b111) is None
+
+
+def test_exact_cover_matches_brute_force():
+    """The first cover in the order that branches on the lowest uncovered
+    bit and tries masks in the given order, found by enumeration."""
+    rng = random.Random(3)
+    for _ in range(300):
+        target = rng.randrange(1 << 6)
+        masks = [rng.randrange(1, 1 << 9) for _ in range(rng.randrange(9))]
+        parts = rng.choice([None, 1, 2, 3])
+        covers = []
+        for r in range(len(masks) + 1):
+            for sub in itertools.combinations(range(len(masks)), r):
+                ms = [masks[i] for i in sub]
+                if (sum(ms) == functools.reduce(int.__or__, ms, 0)
+                        and sum(ms) & target == target
+                        and all(m & target for m in ms)
+                        and parts in (None, r)):
+                    covers.append(sub)
+        found = exact_cover(masks, target, parts)
+        if not covers:
+            assert found is None
+            continue
+
+        def order(sub):
+            # the order of a cover's masks as the search picks them
+            seq, left = [], target
+            rest = list(sub)
+            while left:
+                i = min((i for i in rest if masks[i] & left & -left))
+                seq.append(i)
+                rest.remove(i)
+                left &= ~masks[i]
+            return seq
+
+        assert found == min(order(c) for c in covers)
+
+
+def _collinear_partition_oracle(Z, parts):
+    """The former hand-written search of `core._collinear_partition`."""
+    classes = collinear_classes(Z)
+    classes.sort(key=lambda c: (-len(c), c))
+    pts = Z.points
+    masks = [(sum(1 << i for i in c), tuple(pts[i] for i in c)) for c in classes]
+    chosen = []
+    max_class = max((len(ms) for ms in classes), default=0)
+
+    def rec(mask, used):
+        if mask == 0:
+            return used == parts
+        if used >= parts:
+            return False
+        if mask.bit_count() > (parts - used) * max_class:
+            return False
+        low = (mask & -mask).bit_length() - 1
+        for m, ms in masks:
+            if m & (1 << low) and m & mask == m:
+                chosen.append(ms)
+                if rec(mask & ~m, used + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return list(chosen) if rec((1 << len(pts)) - 1, 0) else None
+
+
+def _skew_line_cover_oracle(Z, count, per):
+    """The former hand-written search of `core.skew_line_cover`."""
+    if count * per != len(Z):
+        return None
+    usable = [(line, ms) for line, ms in collinear_subsets(Z, per) if len(ms) == per]
+    index = {p: i for i, p in enumerate(Z.points)}
+    masks = [(sum(1 << index[p] for p in ms), line) for line, ms in usable]
+    chosen = []
+
+    def rec(mask):
+        if mask == 0:
+            return True
+        low = (mask & -mask).bit_length() - 1
+        for m, line in masks:
+            if m & (1 << low) and m & mask == m:
+                if all(lines_skew(line, c) for c in chosen):
+                    chosen.append(line)
+                    if rec(mask & ~m):
+                        return True
+                    chosen.pop()
+        return False
+
+    return list(chosen) if rec((1 << len(Z)) - 1) else None
+
+
+def _line_partition_oracle(Z):
+    """The former hand-written search of `spreads.partition_into_lines`,
+    which branches on the uncovered point with the fewest lines; None
+    when no partition exists."""
+    q = Z.field.size
+    if len(Z) % (q + 1) != 0:
+        return None
+    full_lines = collinear_subsets(Z, q + 1)
+    index = {p: i for i, p in enumerate(Z.points)}
+    line_masks = [sum(1 << index[p] for p in ms) for _, ms in full_lines]
+    point_lines = [[] for _ in Z.points]
+    for i, lm in enumerate(line_masks):
+        for p in range(len(Z)):
+            if lm >> p & 1:
+                point_lines[p].append(i)
+    chosen = []
+
+    def cover(mask):
+        if mask == 0:
+            return True
+        best = None
+        m = mask
+        while m:
+            low = (m & -m).bit_length() - 1
+            m &= m - 1
+            opts = [i for i in point_lines[low] if line_masks[i] & mask == line_masks[i]]
+            if best is None or len(opts) < len(best):
+                best = opts
+                if len(opts) <= 1:
+                    break
+        for i in best:
+            chosen.append(i)
+            if cover(mask & ~line_masks[i]):
+                return True
+            chosen.pop()
+        return False
+
+    return [full_lines[i][0] for i in chosen] if cover((1 << len(Z)) - 1) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _lines_of(spec):
+    from geproci.fields import parse_field_spec
+
+    return all_lines(parse_field_spec(spec))
+
+
+def _hyperbolic_quadric(F):
+    """x0·x3 = x1·x2: (q+1)² points, a (q+1, q+1) grid."""
+    return PointSet(F, [p for p in enumerate_projective_space(F, 3)
+                        if (p.coords[0] * p.coords[3] - p.coords[1] * p.coords[2]).is_zero()], 3)
+
+
+def _random_line_unions(count):
+    """Seeded unions of 2 to 4 random lines, half of them pairwise skew,
+    some with a point dropped or added, so that covers by lines both exist
+    and fail."""
+    from geproci.fields import parse_field_spec
+
+    rng = random.Random(10)
+    out = []
+    for i in range(count):
+        spec = rng.choice(["p=2", "p=3", "p=2;ext=2"])
+        F = parse_field_spec(spec)
+        lines = []
+        for line in rng.sample(_lines_of(spec), 12):
+            if i % 2 or all(lines_skew(line, m) for m in lines):
+                lines.append(line)
+        pts = {p for line in lines[:rng.randrange(2, 5)] for p in line.points()}
+        change = rng.randrange(3)
+        if change == 1:
+            pts.remove(rng.choice(sorted(pts)))
+        elif change == 2:
+            pts.add(rng.choice(enumerate_projective_space(F, 3).points))
+        out.append(PointSet(F, pts, 3))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cover_inputs(forty_points_q7, mps7_q3):
+    from geproci.fields import parse_field_spec
+    from geproci.spreads import complement_points
+
+    named = {f"PG(3,{q})": enumerate_projective_space(parse_field_spec(spec), 3)
+             for q, spec in [(2, "p=2"), (3, "p=3"), (4, "p=2;ext=2"), (5, "p=5")]}
+    named["mps-q3 complement"] = complement_points(mps7_q3)
+    named["40 points"] = forty_points_q7
+    named["quadric q=3"] = _hyperbolic_quadric(parse_field_spec("p=3"))
+    named.update((f"random {i}", Z) for i, Z in enumerate(_random_line_unions(24)))
+    return named
+
+
+def test_collinear_partition_matches_the_oracle(cover_inputs):
+    from geproci.core import _collinear_partition
+
+    found = 0
+    for name, Z in cover_inputs.items():
+        lines = len(Z) // (Z.field.size + 1)
+        for parts in sorted(set(range(2, 8)) | {lines - 1, lines}):
+            got = _collinear_partition(Z, parts)
+            assert got == _collinear_partition_oracle(Z, parts), (name, parts)
+            found += got is not None
+    assert found >= 20
+
+
+def test_collinear_partition_into_many_parts(forty_points_q7):
+    """Into 20 classes, the 40 points split into collinear pairs.  A
+    search that does not bound the parts left from below tries every
+    class of 3 or 4 points first, and takes minutes on it."""
+    from geproci.core import _collinear_partition
+
+    part = _collinear_partition(forty_points_q7, 20)
+    assert sorted(p for c in part for p in c) == list(forty_points_q7.points)
+    assert {len(c) for c in part} == {2}
+    assert _collinear_partition(forty_points_q7, 21) is None
+
+
+def test_skew_line_cover_matches_the_oracle(cover_inputs):
+    from geproci.core import skew_line_cover
+
+    found = 0
+    for name, Z in cover_inputs.items():
+        # the oracle has no prune: covers by 2-point lines of a larger set
+        # take it seconds
+        for per in range(2 if len(Z) <= 16 else 3, Z.field.size + 2):
+            if len(Z) % per == 0:
+                got = skew_line_cover(Z, len(Z) // per, per)
+                assert got == _skew_line_cover_oracle(Z, len(Z) // per, per), (name, per)
+                found += got is not None
+    assert found >= 10
+
+
+def _assert_line_partition(Z, lines):
+    q = Z.field.size
+    covered = [p for line in lines for p in line.points()]
+    assert len(covered) == len(set(covered)) == len(Z) == len(lines) * (q + 1)
+    assert all(p in Z for p in covered)
+
+
+def test_partition_into_lines_matches_the_oracle(cover_inputs, forty_points_q7):
+    from geproci.spreads import NoPartition, partition_into_lines
+
+    inputs = dict(cover_inputs)
+    inputs["360-point complement"] = enumerate_projective_space(forty_points_q7.field, 3).minus(forty_points_q7)
+    found = 0
+    for name, Z in inputs.items():
+        got = partition_into_lines(Z)
+        oracle = _line_partition_oracle(Z)
+        assert isinstance(got, NoPartition) == (oracle is None), name
+        if oracle is not None:
+            _assert_line_partition(Z, oracle)
+            _assert_line_partition(Z, got)
+            found += 1
+    assert found >= 8
