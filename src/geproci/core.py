@@ -7,7 +7,9 @@ complete intersection of curves of degrees (alpha, beta).
 Two working modes:
   GENERIC — P = (a,b,c,1) with a,b,c independent transcendentals; every
             scalar is a polynomial in F_q[a,b,c] and all linear algebra is
-            fraction-free; verdicts are conclusive.
+            fraction-free; verdicts are conclusive, except that a
+            resultant which vanished at three deterministic
+            specializations comes out as a negative without proof.
   RANDOM  — P sampled from a large extension F_{q^m} with a seed; positive
             verdicts are probabilistic (bound reported); a negative is
             conclusive only when a curve space is smaller than a complete
@@ -427,7 +429,7 @@ class GeprociCertificate:
         """Self-contained re-verification against the projected scheme."""
         if self.alpha * self.beta != S.length:
             return False
-        if not (_vanishes_on(self.f, S) and _vanishes_on(self.g, S)):
+        if not (_vanishes_on([self.f], S) and _vanishes_on([self.g], S)):
             return False
         return isinstance(coprime_certificate(self.f, self.g), CoprimalityWitness)
 
@@ -447,11 +449,18 @@ class GeprociCertificate:
         }
 
 
-def _vanishes_on(f: HomogeneousForm, S: ProjectedScheme) -> bool:
+def _vanishes_on(factors: list, S: ProjectedScheme) -> bool:
+    """Whether the product of `factors` vanishes on the projected scheme.
+
+    The scalars form a domain, so the product vanishes at a point iff a
+    factor does; by the product rule its D_v at a doubled point vanishes
+    iff two factors vanish there or the one that does has D_v = 0."""
     for coords, direction in S.entries:
-        if not scalar_is_zero(evaluate(f, coords)):
+        zeros = (f for f in factors if scalar_is_zero(evaluate(f, coords)))
+        f = next(zeros, None)
+        if f is None:
             return False
-        if direction is not None:
+        if direction is not None and next(zeros, None) is None:
             if not scalar_is_zero(directional_derivative(f, coords, direction)):
                 return False
     return True
@@ -464,8 +473,9 @@ def certify_complete_intersection(
 
     A certificate is a pair of coprime curves of degrees a <= b through the
     scheme; its length ab is all Bézout allows, so the pair cuts out
-    exactly the scheme.  Coprime pairs of vanishing structural hints are
-    tried first, with no kernel.  Otherwise the Hilbert function decides
+    exactly the scheme.  Coprime pairs of vanishing structural hints, each
+    a (form, factors) pair tested factor by factor, are tried first, with
+    no kernel.  Otherwise the Hilbert function decides
     (Eisenbud–Green–Harris, Cayley–Bacharach theorems and conjectures,
     Bull. AMS 33 (1996)).  Let the scheme be cut out by (f0, g0) and let
     I_d be the curves of degree d through it.  Then I_a = <f0> if a < b and
@@ -480,7 +490,7 @@ def certify_complete_intersection(
     if S.length != alpha * beta:
         raise LengthMismatch(f"scheme length {S.length} != {alpha}*{beta}")
     a, b = sorted((alpha, beta))
-    hints = [h for h in hints or [] if h.degree in (a, b) and _vanishes_on(h, S)]
+    hints = [h for h, factors in hints or [] if h.degree in (a, b) and _vanishes_on(factors, S)]
     hints_a = [h for h in hints if h.degree == a]
     hints_b = [h for h in hints if h.degree == b]
 
@@ -528,7 +538,8 @@ def certify_complete_intersection(
 # structural candidate curves
 
 def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
-    """Degree-d products of projected lines from a d-class collinear cover."""
+    """(product, lines): the degree-d product of projected lines from a
+    d-class collinear cover, with its line factors."""
     if not isinstance(Z, PointSet):
         return []
     part = _collinear_partition(Z, degree)
@@ -536,8 +547,7 @@ def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
         return []
     ring = S.ring
     P = S.point
-    forms = []
-    prod = None
+    lines = []
     for members in part:
         a = _image_coords(ring, P, members[0])
         b = _image_coords(ring, P, members[1])
@@ -547,11 +557,8 @@ def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
             (0, 1, 0): a[2] * b[0] - a[0] * b[2],
             (0, 0, 1): a[0] * b[1] - a[1] * b[0],
         }
-        l = HomogeneousForm(ring, 3, 1, lin)
-        prod = l if prod is None else prod * l
-    if prod is not None and prod.degree == degree:
-        forms.append(prod)
-    return forms
+        lines.append(HomogeneousForm(ring, 3, 1, lin))
+    return [(math.prod(lines[1:], start=lines[0]), lines)]
 
 
 def _collinear_partition(Z: PointSet, parts: int):
@@ -610,9 +617,10 @@ def _scheme_length(Z) -> int:
 
 
 def _structural_hints(Z, S: ProjectedScheme, alpha: int, beta: int, field) -> list:
+    """(form, factors) pairs; the cone curve is its own only factor."""
     hints = []
     for degree in sorted({alpha, beta}):
-        hints.extend(frobenius_curve_candidate(Z, S, degree, field))
+        hints.extend((f, [f]) for f in frobenius_curve_candidate(Z, S, degree, field))
         hints.extend(line_product_candidates(Z, S, degree))
     return hints
 
@@ -627,7 +635,9 @@ def geproci_check(
 ) -> GeprociVerdict:
     """Decide whether Z is (alpha, beta)-geproci.
 
-    GENERIC mode runs once and is conclusive.  RANDOM mode runs `trials`
+    GENERIC mode runs once and is conclusive, except that a resultant
+    which vanished at three deterministic specializations comes out as
+    `geproci: False` without proof.  RANDOM mode runs `trials`
     seeded instances and stops at the first negative.  Curve spaces can
     only grow under specialization, so a dim I_d below the complete
     intersection value refutes; one above it, or a shared factor, at a
@@ -699,18 +709,20 @@ def skew_line_cover(Z: PointSet, count: int, per: int):
 
     A line's mask holds all q+1 of its points, those off Z at bits past
     len(Z).  Lines covering Z exactly can meet only off Z, so using each
-    of those bits at most once makes them pairwise skew."""
+    of those bits at most once makes them pairwise skew.  When per = q+1
+    a line lies in Z and its members are all its points."""
     if count * per != len(Z):
         return None
-    lines = [line for line, members in collinear_subsets(Z, per) if len(members) == per]
+    subsets = [lm for lm in collinear_subsets(Z, per) if len(lm[1]) == per]
     index = {p: i for i, p in enumerate(Z.points)}
     masks = []
-    for line in lines:
-        for p in line.points():
+    for line, members in subsets:
+        pts = members if per == Z.field.size + 1 else line.points()
+        for p in pts:
             index.setdefault(p, len(index))
-        masks.append(sum(1 << index[p] for p in line.points()))
+        masks.append(sum(1 << index[p] for p in pts))
     chosen = exact_cover(masks, (1 << len(Z)) - 1)
-    return None if chosen is None else [lines[k] for k in chosen]
+    return None if chosen is None else [subsets[k][0] for k in chosen]
 
 
 def classify(Z: PointSet, alpha: int, beta: int) -> ClassificationFlags:
@@ -752,8 +764,9 @@ def residual_check(Z: PointSet, Zp: PointSet, alpha: int, gamma: int, beta: int)
     # works for both; structural candidates are tried before interpolation
     hints = _structural_hints(Z, S, beta, beta, Z.field)
     Sp = project(Zp, P)
-    candidates = [h for h in hints if _vanishes_on(h, S)] + interpolate_curve(S, beta).forms
-    shared = next((h for h in candidates if _vanishes_on(h, Sp)), None)
+    candidates = [(h, factors) for h, factors in hints if _vanishes_on(factors, S)]
+    candidates += [(f, [f]) for f in interpolate_curve(S, beta).forms]
+    shared = next((h for h, factors in candidates if _vanishes_on(factors, Sp)), None)
     if shared is None:
         raise SharedGeneratorMissing(f"no degree-{beta} curve through both projections")
     Zpp = Z.minus(Zp)

@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +388,10 @@ def test_generic_certificate_forms_are_pinned(mps7_q3, P3F3):
         assert v.geproci and v.certificate.mode == "generic"
         forms = "\n".join(v.certificate.to_dict()["forms"])
         assert hashlib.sha256(forms.encode()).hexdigest() == FORMS_SHA256[name], name
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

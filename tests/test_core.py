@@ -276,3 +276,105 @@ def test_skew_line_cover(mps7_q3):
     cover = core.skew_line_cover(Z, 4, 3)
     assert cover is not None and len(cover) == 4
     assert core.skew_line_cover(Z, 3, 4) is None  # no 4-point lines inside
+
+
+def _random_line(ring, rng):
+    """A nonzero linear form in x, y, z; over F_3[a,b,c] its coefficients
+    have degree <= 1 in a, b, c."""
+    while True:
+        coeffs = []
+        for _ in range(3):
+            c = ring.const(rng.randrange(3))
+            for g in ring.gens():
+                c = c + g * ring.const(rng.randrange(3))
+            coeffs.append(c)
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        line = multipoly.HomogeneousForm(ring, 3, 1, dict(zip(units, coeffs)))
+        if not line.is_zero():
+            return line
+
+
+def _line_coeffs(line):
+    zero = line.ring.zero()
+    return [line.coeffs.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _product_vanishes(prod, coords, direction):
+    """The test on the expanded product: its value and, at a doubled point,
+    its derivative along the direction."""
+    if not scalar_is_zero(evaluate(prod, coords)):
+        return False
+    return direction is None or scalar_is_zero(
+        multipoly.directional_derivative(prod, coords, direction))
+
+
+@pytest.mark.parametrize("names", [(), ("a", "b", "c")])
+def test_vanishes_on_factors_matches_the_expanded_product(F3, names):
+    ring = ScalarRing(F3, names)
+    rng = random.Random(11)
+
+    def vector():
+        return _line_coeffs(_random_line(ring, rng))
+
+    seen = set()
+    for _ in range(200):
+        factors = [_random_line(ring, rng) for _ in range(rng.randint(1, 4))]
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = prod * f
+        i, j = rng.randrange(len(factors)), rng.randrange(len(factors))
+        # a point on none, one or two of the lines
+        coords = rng.choice([
+            vector(),
+            _cross(_line_coeffs(factors[i]), vector()),
+            _cross(_line_coeffs(factors[i]), _line_coeffs(factors[j])),
+        ])
+        # no direction, one along line i, or one across it
+        direction = rng.choice([None, _cross(_line_coeffs(factors[i]), vector()), vector()])
+        if all(scalar_is_zero(c) for c in coords) or (
+                direction is not None and multipoly._proportional(coords, direction)):
+            continue
+        S = core.ProjectedScheme(ring, [(coords, direction)], None)
+        expected = _product_vanishes(prod, coords, direction)
+        assert core._vanishes_on(factors, S) == expected
+        zeros = sum(scalar_is_zero(evaluate(f, coords)) for f in factors)
+        seen.add((min(zeros, 2), direction is not None, expected))
+    # every branch of the factor rule was taken
+    assert seen >= {(0, False, False), (1, False, True), (2, False, True),
+                    (0, True, False), (1, True, True), (1, True, False), (2, True, True)}
+
+
+def test_vanishes_on_factors_refutes_an_extra_image_point(P3F2):
+    S = core.project(P3F2, core.GeneralPoint.generic(P3F2.field))
+    [(prod, lines)] = core.line_product_candidates(P3F2, S, 5)
+    assert len(lines) == 5 and core._vanishes_on(lines, S)
+    a, b, _ = S.ring.gens()
+    extra = [S.ring.one(), a, b]
+    assert not any(scalar_is_zero(evaluate(l, extra)) for l in lines)
+    S.entries.append((extra, None))
+    assert not core._vanishes_on(lines, S)
+    assert not core._vanishes_on([prod], S)
+
+
+def test_hints_are_tested_line_by_line(monkeypatch, P3F3):
+    # the degree-10 product of a spread's lines vanishes on the projection
+    # of PG(3,3); the hint filter evaluates only its lines and the degree-4
+    # cone curve, while recheck evaluates the certificate's expanded forms
+    degrees = []
+    evaluate_ = core.evaluate
+
+    def recording(f, point):
+        degrees.append(f.degree)
+        return evaluate_(f, point)
+
+    monkeypatch.setattr(core, "evaluate", recording)
+    v = core.geproci_check(P3F3, 4, 10, mode="generic")
+    assert v.geproci and v.certificate.g.degree == 10
+    assert degrees and max(degrees) <= 4
+    degrees.clear()
+    assert v.certificate.recheck(core.project(P3F3, core.GeneralPoint.generic(P3F3.field)))
+    assert 10 in degrees
