@@ -40,7 +40,7 @@ from .multipoly import (
     monomials,
     scalar_is_zero,
 )
-from .projgeom import PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, exact_cover, is_coplanar
+from .projgeom import GeometryError, PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, exact_cover, is_coplanar
 
 
 class CoreError(Exception):
@@ -193,13 +193,41 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
             (img, dir_img)
         )
     entries = constant_entries + moving_entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if _proj_equal(entries[i][0], entries[j][0]):
-                raise CollisionDetected(
-                    f"projected images {i} and {j} coincide; P is not general"
-                )
+    pair = _first_collision(ring, [img for img, _ in entries])
+    if pair is not None:
+        raise CollisionDetected(
+            f"projected images {pair[0]} and {pair[1]} coincide; P is not general"
+        )
     return ProjectedScheme(ring=ring, entries=entries, point=P)
+
+
+def _first_collision(ring: ScalarRing, images: list):
+    """The first pair (i, j), i < j in index order, of coinciding images.
+
+    Over a finite field each image is normalized as a ProjectivePoint and
+    a repeat found by hashing; the zero image (of the center itself)
+    coincides with every other.  Polynomial images cannot be normalized,
+    so they are compared pairwise by 2×2 minors.
+    """
+    if not ring.finite:
+        for i in range(len(images)):
+            for j in range(i + 1, len(images)):
+                if _proj_equal(images[i], images[j]):
+                    return i, j
+        return None
+    first, pairs = {}, []
+    for j, img in enumerate(images):
+        try:
+            key = ProjectivePoint(ring.field, img).reps
+        except GeometryError:
+            if len(images) > 1:
+                pairs.append((0, j or 1))
+            continue
+        if key in first:
+            pairs.append((first[key], j))
+        else:
+            first[key] = j
+    return min(pairs, default=None)
 
 
 def _coord_is_zero(c) -> bool:

@@ -10,14 +10,18 @@ and tabulates exp[i] = g^i and log[g^i] = i; then a*b = exp[log a + log b]
 and 1/a = exp[-log a], with the exponents taken mod q-1.  Reps stay tuples,
 so element indices, spec strings and point files do not change.
 
-Larger layers (the random-mode extensions) invert by the extended
-Euclidean algorithm and multiply polynomially: schoolbook over a tower
-base, and over a prime base by Kronecker packing, one W-bit slot per
-coefficient in one Python int, the product folded back below the modulus
-degree by its high part times the modulus tail.  There `row_reduce`, the
-one finite-field row reduction, also runs on packed ints and reduces the
+Larger layers (the random-mode extensions) compute polynomially.  Over a
+tower base they multiply schoolbook and invert by the extended Euclidean
+algorithm, both on lists of base-field reps.  Over a prime base they
+multiply by Kronecker packing, one W-bit slot per coefficient in one
+Python int, the product folded back below the modulus degree by its high
+part times the modulus tail, and invert by the extended Euclidean
+algorithm on plain int coefficients mod p.  There `row_reduce`, the one
+finite-field row reduction, also runs on packed ints and reduces the
 slots mod p only where it reads a value.  W comes from a worst-case slot
-bound simulated once per layer.
+bound simulated once per layer.  The same packed products give the
+powers x^(p^k) of Rabin's irreducibility test, which picks each layer's
+modulus.
 
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
@@ -142,6 +146,33 @@ def _ppowmod(F, f, e, m):
     return result
 
 
+def _inv_mod_p(p: int, m, a) -> list:
+    """Inverse of a mod m over F_p by the extended Euclidean algorithm on
+    int coefficient lists (low to high).  Each step cancels the leading
+    term of r0 by a multiple c*x^k of r1 and subtracts c*x^k*s1 from s0,
+    keeping s_i*a = r_i mod m; r0 and r1 swap when r0 drops below r1."""
+    r0, r1 = list(m), [c % p for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv, d = pow(r1[-1], p - 2, p), len(r1) - 1
+        while len(r0) > d:
+            c, k = r0.pop() * inv % p, len(r0) - d
+            r0[k:] = [(x - c * y) % p for x, y in zip(r0[k:], r1)]
+            s0 += [0] * (k + len(s1) - len(s0))
+            s0[k:k + len(s1)] = [(x - c * y) % p for x, y in zip(s0[k:], s1)]
+            while r0 and not r0[-1]:
+                r0.pop()
+        if not r0:
+            raise ZeroDivisionError("element not invertible")
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    inv = pow(r1[0], p - 2, p)
+    return [c * inv % p for c in s1]
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -157,22 +188,62 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(F, m) -> bool:
-    """Irreducibility of a monic poly over F via the x^(s^i) gcd criterion."""
+    """Rabin's test of a poly m of degree n over F, |F| = s: m is irreducible
+    iff x^(s^n) = x mod m and gcd(x^(s^(n/l)) - x, m) = 1 for each prime l | n.
+
+    Over a prime field the powers x^(p^k) come from `_frobenius_orbit`;
+    over a tower base each is one square-and-multiply on coefficient lists.
+    """
     n = len(m) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    s = F.size
     x = [F.zero_rep, F.one_rep]
-    # x^(s^n) == x (mod m)
-    if _psub(F, _ppowmod(F, x, s ** n, m), x):
+    if isinstance(F, PrimeField):
+        inv = F.inv_rep(m[-1])
+        m = [c * inv % F.p for c in m]  # monic, as _Packing needs
+        power = _frobenius_orbit(F.p, m).__getitem__
+    else:
+        def power(k):
+            return _ppowmod(F, x, F.size ** k, m)
+    if _psub(F, power(n), x):
         return False
     for ell in _prime_factors(n):
-        g = _pgcd(F, _psub(F, _ppowmod(F, x, s ** (n // ell), m), x), m)
-        if len(g) != 1:
+        if len(_pgcd(F, _psub(F, power(n // ell), x), m)) != 1:
             return False
     return True
+
+
+def _frobenius_orbit(p: int, m) -> list:
+    """[x^(p^k) mod m for k = 0..n] as coefficient lists, for a monic m of
+    degree n >= 2 over F_p.  Each is the p-th power of the one before, by
+    square-and-multiply of canonical ints packed as in `_Packing`."""
+    K = _Packing(p, m)
+    shifts, mask, nW, low, tail = K.mul_layout
+    folds = range(K.folds)
+    bits = bin(p)[3:]
+
+    def mul(a, b):
+        v = a * b
+        for _ in folds:
+            v = (v & low) + (v >> nW) * tail
+        out = 0
+        for s in shifts:
+            out |= (((v >> s) & mask) % p) << s
+        return out
+
+    y = 1 << shifts[1]  # x
+    orbit = [y]
+    for _ in range(K.n):
+        z = y
+        for bit in bits:
+            z = mul(z, z)
+            if bit == "1":
+                z = mul(z, y)
+        y = z
+        orbit.append(y)
+    return [[(y >> s) & mask for s in shifts] for y in orbit]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +512,12 @@ class FieldTower:
         return self._pad(prod)
 
     def _inv_poly(self, a):
-        """Inverse by the extended Euclidean algorithm on (a, modulus)."""
+        """Inverse by the extended Euclidean algorithm on (a, modulus), on
+        int coefficients over a prime base and on base-field reps over a
+        tower."""
         B = self.base
+        if self._kron is not None:
+            return self._pad(_inv_mod_p(B.p, self.modulus, a))
         r0, r1 = list(self.modulus), _pnorm(list(a))
         if not r1:
             raise ZeroDivisionError("inverse of zero")

@@ -92,6 +92,68 @@ def test_projection_collision_detected(F3):
         core.project(Z, bad)
 
 
+def _pairwise_first_collision(entries):
+    imgs = [coords for coords, _ in entries]
+    for i in range(len(imgs)):
+        for j in range(i + 1, len(imgs)):
+            if core._proj_equal(imgs[i], imgs[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_projection_collision_on_a_secant(forty_points_q7, seed):
+    Z = forty_points_q7
+    good = core.GeneralPoint.random(Z.field, seed=seed, avoid=Z)
+    E = good.ring.field
+    S = core.project(Z, good)  # off every secant: no collision
+    assert S.length == 40 and _pairwise_first_collision(S.entries) is None
+    # a point of E on the secant through two points of Z, scaled to w = 1
+    rng = random.Random(seed)
+    u, v = rng.sample(Z.points, 2)
+    while True:
+        s, t = (E.from_index(rng.randrange(1, E.size)) for _ in range(2))
+        coords = [s * x + t * y for x, y in zip(u.coords, v.coords)]
+        if not coords[3].is_zero():
+            break
+    bad = core.GeneralPoint("random", good.ring, [c / coords[3] for c in coords], m=good.m)
+    with pytest.raises(core.CollisionDetected) as err:
+        core.project(Z, bad)
+    # the pair named is the first one the pairwise minor test finds, with
+    # the images in project's order: points on the plane w = 0 first
+    order = sorted(Z.points, key=lambda p: not p.coords[3].is_zero())
+    i, j = _pairwise_first_collision([(core._image_coords(bad.ring, bad, p), None) for p in order])
+    assert f"projected images {i} and {j} coincide" in str(err.value)
+
+
+def test_random_projection_from_a_point_of_the_set(F3):
+    # the center's own image is zero and coincides with every other image
+    Z = PointSet(F3, [ProjectivePoint(F3, c) for c in ([1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 1])], 3)
+    ring = ScalarRing(F3)
+    for k, pt in enumerate(Z.points):
+        P = core.GeneralPoint("random", ring, list(pt.coords), m=1)
+        with pytest.raises(core.CollisionDetected, match=f"images 0 and {k or 1} coincide"):
+            core.project(Z, P)
+
+
+@pytest.mark.parametrize("center", [(1, 1, 1, 1), (1, 2, 0, 1), (0, 0, 1, 1)])
+def test_random_projection_names_the_first_collision(P3F3, center):
+    # a rational center: many images coincide, and its own image is zero
+    ring = ScalarRing(P3F3.field)
+    P = core.GeneralPoint("random", ring, [ring.const(c) for c in center], m=1)
+    order = sorted(P3F3.points, key=lambda p: not p.coords[3].is_zero())
+    i, j = _pairwise_first_collision([(core._image_coords(ring, P, p), None) for p in order])
+    with pytest.raises(core.CollisionDetected, match=f"images {i} and {j} coincide"):
+        core.project(P3F3, P)
+
+
+def test_random_point_sampling_can_fail(F2, P3F2, monkeypatch):
+    # with no extension every candidate lies in F_q, so none is accepted
+    monkeypatch.setattr(core, "RANDOM_MIN_FIELD", 2)
+    with pytest.raises(core.CoreError, match="could not sample a general point off all secants"):
+        core.GeneralPoint.random(F2, seed=0, avoid=P3F2)
+
+
 @pytest.mark.parametrize("spec,q", [("p=2", 2), ("p=3", 3), ("p=2;ext=2", 4)])
 def test_frobenius_cone_vanishes_and_membership(spec, q):
     F = parse_field_spec(spec)

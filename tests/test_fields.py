@@ -404,6 +404,95 @@ def test_smallest_irreducible_is_memoized_and_fresh():
 
 
 # ---------------------------------------------------------------------------
+# the modulus search and the inverse of the large prime-base layers
+
+def _monic(p, n, i):
+    """The monic polynomial of degree n over F_p with canonical index i."""
+    coeffs = []
+    for _ in range(n):
+        i, r = divmod(i, p)
+        coeffs.append(r)
+    return coeffs + [1]
+
+
+def _sympy_irreducible(p, m):
+    import sympy  # the test-only oracle
+
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(m)), x, modulus=p).is_irreducible
+
+
+def test_is_irreducible_matches_sympy_on_small_degrees():
+    for p, degrees in ((2, range(2, 6)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3))):
+        F = PrimeField(p)
+        for n in degrees:
+            for i in range(p ** n):
+                m = _monic(p, n, i)
+                assert is_irreducible(F, m) == _sympy_irreducible(p, m), (p, m)
+
+
+# The smallest irreducibles name the random-mode extensions in spec strings
+# and reports; the search tests every candidate below them.
+SMALLEST = {
+    (7, 12): [2, 1, 1] + [0] * 9 + [1],
+    (3, 20): [1, 2, 0, 1] + [0] * 16 + [1],
+    (2, 31): [1, 0, 0, 1] + [0] * 27 + [1],
+    (2, 20): [1, 0, 0, 1] + [0] * 16 + [1],
+    (3, 13): [1, 2] + [0] * 11 + [1],
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(SMALLEST))
+def test_smallest_irreducible_is_pinned(p, n):
+    assert smallest_irreducible(PrimeField(p), n) == SMALLEST[p, n]
+
+
+@pytest.mark.parametrize("p,n,count", [(7, 12, 59), (3, 20, 35), (2, 31, 10)])
+def test_modulus_candidates_match_sympy(p, n, count):
+    F = PrimeField(p)
+    cands = [_monic(p, n, i) for i in range(count)]
+    assert cands[-1] == SMALLEST[p, n]
+    assert [is_irreducible(F, m) for m in cands] == [_sympy_irreducible(p, m) for m in cands]
+    assert not any(is_irreducible(F, m) for m in cands[:-1])
+
+
+def test_is_irreducible_makes_the_modulus_monic():
+    F = PrimeField(5)
+    for i in range(25):
+        m = _monic(5, 2, i)
+        assert is_irreducible(F, [2 * c % 5 for c in m]) == is_irreducible(F, m)
+
+
+@pytest.mark.parametrize("spec", ["p=7;ext=12", "p=3;ext=20", "p=2;ext=31"])
+def test_large_layer_inverse(spec):
+    E = _packed_field(spec)
+    rng = random.Random(11)
+    for _ in range(200):
+        a = E.index_to_rep(rng.randrange(1, E.size))
+        inv = E.inv_rep(a)
+        assert E._mul_poly(a, inv) == E.one_rep
+        assert E.inv_rep(list(a)) == inv  # list reps are accepted
+        assert E.inv_rep([c + E.base.p for c in a]) == inv  # and unreduced entries
+    with pytest.raises(ZeroDivisionError):
+        E.inv_rep(E.zero_rep)
+    with pytest.raises(ZeroDivisionError):
+        E.inv_rep(list(E.zero_rep))
+
+
+def test_large_layer_inverse_of_a_non_unit():
+    # x * m12 is reducible; its factors x and m12 are non-units of the ring
+    F = make_field(7)
+    m12 = SMALLEST[7, 12]
+    R = FieldTower(F, [0] + m12, check=False)
+    assert R.size > ZECH_MAX_SIZE
+    for a in (R.index_to_rep(7), R._pad(m12), R._pad([0] + m12[:-1])):
+        with pytest.raises(ZeroDivisionError):
+            R.inv_rep(a)
+    a = R.index_to_rep(1 + 7)  # 1 + x is a unit
+    assert R._mul_poly(a, R.inv_rep(a)) == R.one_rep
+
+
+# ---------------------------------------------------------------------------
 # MultiPoly: packed graded exponent keys
 
 NAMES = ("a", "b", "c")
