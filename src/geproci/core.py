@@ -2,7 +2,11 @@
 
 The central question: project a point set (or fat-point scheme) of P³ from
 a general point P onto the plane w=0, and decide whether the image is the
-complete intersection of curves of degrees (alpha, beta).
+complete intersection of curves of degrees (alpha, beta).  A point set and
+a fat-point scheme answer one scheme interface (`as_projection_entries`,
+`scheme_length`, `support_points`), so neither projection nor
+certification asks which kind it has; only the line-product hints need a
+point set.
 
 Two working modes:
   GENERIC — P = (a,b,c,1) with a,b,c independent transcendentals; every
@@ -14,6 +18,9 @@ Two working modes:
             verdicts are probabilistic (bound reported); a negative is
             conclusive only when a curve space is smaller than a complete
             intersection needs (dimensions only grow under specialization).
+
+A Frobenius cone is transversal to a line of PG(3, q) unless its
+restriction to the line is the zero binary form.
 """
 from __future__ import annotations
 
@@ -22,22 +29,21 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .fields import FieldElement, MultiPoly, extend_field
+from .fields import FieldElement, extend_field
 from .multipoly import (
     CoprimalityWitness,
     EvaluationMatrix,
     HomogeneousForm,
     KernelBasis,
     ScalarRing,
+    condition_matrix,
     condition_rank,
     coprime_certificate,
-    derivative_row,
     directional_derivative,
     evaluate,
-    evaluation_row,
     hilbert_value,
     kernel_of_conditions,
-    monomials,
+    restrict_to_line,
     scalar_is_zero,
 )
 from .projgeom import GeometryError, PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, exact_cover, is_coplanar
@@ -151,20 +157,7 @@ class ProjectedScheme:
         return sum(1 if d is None else 2 for _, d in self.entries)
 
     def condition_rows(self, degree: int) -> EvaluationMatrix:
-        monos = monomials(3, degree)
-        rows = []
-        for coords, direction in self.entries:
-            rows.append(evaluation_row(self.ring, coords, monos))
-            if direction is not None:
-                rows.append(derivative_row(self.ring, coords, direction, monos))
-        return EvaluationMatrix(self.ring, 3, degree, rows, monos)
-
-
-def _entries_of(Z):
-    """(ProjectivePoint, direction-point-or-None) pairs for sets or schemes."""
-    if hasattr(Z, "as_projection_entries"):
-        return Z.as_projection_entries()
-    return [(p, None) for p in Z.points]
+        return condition_matrix(self.ring, self.entries, degree, 3)
 
 
 def _image_coords(ring: ScalarRing, P: GeneralPoint, point) -> list:
@@ -184,11 +177,10 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
     ring = P.ring
     constant_entries = []
     moving_entries = []
-    for point, direction in _entries_of(Z):
+    for point, direction in Z.as_projection_entries():
         img = _image_coords(ring, P, point)
         dir_img = None if direction is None else _image_coords(ring, P, direction)
-        coords = point.coords if hasattr(point, "coords") else point
-        on_plane = _coord_is_zero(coords[3])
+        on_plane = point.coords[3].is_zero()
         (constant_entries if on_plane and direction is None else moving_entries).append(
             (img, dir_img)
         )
@@ -228,10 +220,6 @@ def _first_collision(ring: ScalarRing, images: list):
         else:
             first[key] = j
     return min(pairs, default=None)
-
-
-def _coord_is_zero(c) -> bool:
-    return c.is_zero() if hasattr(c, "is_zero") else c == 0
 
 
 def _proj_equal(u, v) -> bool:
@@ -345,7 +333,6 @@ def restrict_to_plane(F: HomogeneousForm) -> HomogeneousForm:
 class TransversalityReport:
     total: int
     violations: list
-    rational_vanishing_ok: bool
 
     @property
     def all_transversal(self):
@@ -353,59 +340,19 @@ class TransversalityReport:
 
 
 def cone_line_transversality(F: HomogeneousForm, field) -> TransversalityReport:
-    """Check the cone restricts to a nonzero binary form on every line.
+    """Flag every line of PG(3, q) on which F vanishes identically.
 
-    The restriction has degree q+1 and vanishes at all q+1 rational
-    parameter values, so it is identically zero iff it also vanishes at
-    one additional parameter from a proper extension.
+    A line with F_q rows A and B is flagged exactly when the restriction
+    F(u·A + s·B), whose coefficients are computed over the scalars of F, is
+    the zero binary form.  The test holds for a form of any degree.
     """
-    q = field.size
-    if F.ring.finite and F.ring.field.size > field.size:
-        E = F.ring.field
-    else:
-        E = extend_field(field, 2)
-    lifted = _lift_form(F, E)
-    # first q indices of the extension are the lifted base-field elements;
-    # index q is the first genuinely new parameter
-    rational_params = [E.from_index(i) for i in range(q)]
-    extra_param = E.from_index(field.size)
-    violations = []
-    rational_ok = True
     lines = all_lines(field)
+    violations = []
     for line in lines:
-        A = [FieldElement(E, E.lift_rep(field, c)) for c in line.rows[0]]
-        B = [FieldElement(E, E.lift_rep(field, c)) for c in line.rows[1]]
-
-        def at(t):
-            return evaluate(lifted, [a + t * b for a, b in zip(A, B)])
-
-        rational_values = [at(t) for t in rational_params]
-        rational_values.append(evaluate(lifted, B))  # parameter (0,1)
-        nonzero_rational = [v for v in rational_values if not scalar_is_zero(v)]
-        if nonzero_rational:
-            rational_ok = False
-            continue  # visibly nonzero restriction: transversal
-        # all q+1 rational roots present; one more root would exceed the
-        # degree, so a single extension evaluation decides
-        if scalar_is_zero(at(extra_param)):
+        A, B = ([FieldElement(field, c) for c in row] for row in line.rows)
+        if restrict_to_line(F, A, B).is_zero():
             violations.append(line)
-    return TransversalityReport(
-        total=len(lines), violations=violations, rational_vanishing_ok=rational_ok
-    )
-
-
-def _lift_form(F: HomogeneousForm, E) -> HomogeneousForm:
-    """Re-express a form over F_q (or F_q[a,b,c]) as one over E (or E[a,b,c])."""
-    ring = F.ring
-    new_ring = ScalarRing(E, ring.names)
-    if ring.finite:
-        return F.map_coefficients(
-            lambda c: FieldElement(E, E.lift_rep(c.field, c.rep)), new_ring
-        )
-    return F.map_coefficients(
-        lambda c: MultiPoly(E, c.names, {e: E.lift_rep(c.field, v) for e, v in c.terms.items()}),
-        new_ring,
-    )
+    return TransversalityReport(total=len(lines), violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +585,6 @@ class GeprociVerdict:
         return d
 
 
-def _scheme_length(Z) -> int:
-    if hasattr(Z, "scheme_length"):
-        return Z.scheme_length()
-    return len(Z)
-
-
 def _structural_hints(Z, S: ProjectedScheme, alpha: int, beta: int, field) -> list:
     """(form, factors) pairs; the cone curve is its own only factor."""
     hints = []
@@ -673,7 +614,7 @@ def geproci_check(
     polynomial-identity-testing failure bound.
     """
     field = Z.field
-    length = _scheme_length(Z)
+    length = Z.scheme_length()
     if length != alpha * beta:
         raise LengthMismatch(f"scheme length {length} != {alpha}*{beta}")
     if mode == "generic":
@@ -688,7 +629,7 @@ def geproci_check(
     if mode != "random":
         raise CoreError(f"unknown mode {mode!r}")
 
-    avoid = Z if isinstance(Z, PointSet) else getattr(Z, "support_points", lambda: None)()
+    avoid = Z.support_points()
     cert = None
     m = None
     for t in range(trials):

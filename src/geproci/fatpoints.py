@@ -16,11 +16,10 @@ from .multipoly import (
     EvaluationMatrix,
     HomogeneousForm,
     ScalarRing,
+    condition_matrix,
     derivative_row,
-    evaluate,
     evaluation_row,
-    monomials,
-    partial_derivative,
+    form_value,
     scalar_is_zero,
 )
 from .projgeom import (
@@ -69,18 +68,8 @@ class FatPointScheme:
         """One row per simple point, two per doubled point."""
         if degree < 1:
             raise SchemeError("degree must be >= 1")
-        ring = ring or ScalarRing(self.field)
-        nvars = self.dim + 1
-        monos = monomials(nvars, degree)
-        rows = []
-        for p in self.simple:
-            rows.append(evaluation_row(ring, ring.coerce_point_coords(p), monos))
-        for A, B in self.doubled:
-            ca = ring.coerce_point_coords(A)
-            cb = ring.coerce_point_coords(B)
-            rows.append(evaluation_row(ring, ca, monos))
-            rows.append(derivative_row(ring, ca, cb, monos))
-        return EvaluationMatrix(ring, nvars, degree, rows, monos)
+        return condition_matrix(ring or ScalarRing(self.field), self.as_projection_entries(),
+                                degree, self.dim + 1)
 
     def __repr__(self):
         return (
@@ -109,16 +98,13 @@ def concurrent_tangents_check(conic: HomogeneousForm, points, focus) -> bool:
     else:
         pts = list(points)
     ring = conic.ring
-    grads = [partial_derivative(conic, i) for i in range(conic.nvars)]
+    monos = list(conic.coeffs)
     fc = ring.coerce_point_coords(focus)
     for p in pts:
         coords = ring.coerce_point_coords(p)
-        if not scalar_is_zero(evaluate(conic, coords)):
-            return False
-        total = ring.zero()
-        for i in range(conic.nvars):
-            total = total + fc[i] * evaluate(grads[i], coords)
-        if not scalar_is_zero(total):
+        # p is on the conic, and its tangent line passes through the focus
+        rows = (evaluation_row(ring, coords, monos), derivative_row(ring, coords, fc, monos))
+        if any(not scalar_is_zero(form_value(conic, row)) for row in rows):
             return False
     return True
 

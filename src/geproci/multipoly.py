@@ -3,13 +3,19 @@ and coprimality certification via resultants.
 
 Scalars are either :class:`FieldElement` (a finite field F_q) or
 :class:`MultiPoly` (the polynomial ring F_q[a,b,c] of generic-point mode).
-Finite-field matrices, condition matrices and Sylvester matrices alike, go
-through :func:`geproci.fields.row_reduce`.  Condition matrices over
-F_q[a,b,c] go through fraction-free (Bareiss) forward elimination, and
-their kernel vectors come from an exact Cramer back-substitution, so every
-entry is a minor of the matrix and no polynomial gcd is ever taken.  A
-kernel form is defined up to a unit of F_q(a,b,c); only its leading F_q
-coefficient is normalized.
+One evaluator, :func:`evaluation_row`, gives the values of a list of
+monomials at a point; the value of a form, its derivative along a
+direction, its restriction to a line and every condition row are read
+from it.  :func:`condition_matrix` builds the condition matrix of
+(point, direction-or-None) entries: a point imposes its value, and a
+direction the derivative along it.  Finite-field matrices, condition
+matrices and Sylvester matrices alike, go through
+:func:`geproci.fields.row_reduce`.  Condition matrices over F_q[a,b,c] go
+through fraction-free (Bareiss) forward elimination, and their kernel
+vectors come from an exact Cramer back-substitution, so every entry is a
+minor of the matrix and no polynomial gcd is ever taken.  A kernel form is
+defined up to a unit of F_q(a,b,c); only its leading F_q coefficient is
+normalized.
 """
 from __future__ import annotations
 
@@ -26,7 +32,6 @@ from .fields import (
     extend_field,
     row_reduce,
 )
-from .projgeom import PointSet
 
 VAR_NAMES = ("x", "y", "z", "w")
 
@@ -254,17 +259,64 @@ def _scalar_str(c) -> str:
 # ---------------------------------------------------------------------------
 # evaluation and derivatives
 
-def _coord_powers(coords, max_exp):
+def evaluation_row(ring: ScalarRing, coords, monos) -> list:
+    """The values of the monomials `monos` at `coords`, from one table of
+    coordinate powers up to the largest degree among them; a monomial of
+    degree 0 has the value 1.  Every value of a form is read from here."""
+    degree = max(map(sum, monos), default=0)
     pows = []
     for c in coords:
-        row = [None] * (max_exp + 1)
-        row[0] = None  # unused sentinel; exponent 0 contributes nothing
-        if max_exp >= 1:
-            row[1] = c
-            for k in range(2, max_exp + 1):
-                row[k] = row[k - 1] * c
-        pows.append(row)
-    return pows
+        powers = [None, c]  # index 0 is never read: exponent 0 is skipped
+        for _ in range(2, degree + 1):
+            powers.append(powers[-1] * c)
+        pows.append(powers)
+    one = ring.one()
+    row = []
+    for exps in monos:
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                term = pows[i][e] if term is None else term * pows[i][e]
+        row.append(one if term is None else term)
+    return row
+
+
+def derivative_row(ring: ScalarRing, coords, direction, monos) -> list:
+    """Row of Sum_i v_i d(mono)/d x_i evaluated at coords.
+
+    The lowered monomials mono / x_i are evaluated once each, by one
+    evaluation_row; a term whose factor v_i·e_i is zero is dropped."""
+    lowered: dict = {}
+    parts = []
+    for exps in monos:
+        terms = []
+        for i, v in enumerate(direction):
+            if exps[i]:
+                w = v * exps[i]
+                if not scalar_is_zero(w):
+                    e = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                    lowered[e] = None
+                    terms.append((e, w))
+        parts.append(terms)
+    values = dict(zip(lowered, evaluation_row(ring, coords, list(lowered))))
+    zero = ring.zero()
+    row = []
+    for terms in parts:
+        total = zero
+        for e, w in terms:
+            total = total + w * values[e]
+        row.append(total)
+    return row
+
+
+def form_value(f: HomogeneousForm, row) -> object:
+    """Sum of c·r over the terms of f, with `row` aligned to `f.coeffs`:
+    f at a point for an evaluation_row, a derivative for a derivative_row."""
+    total = None
+    for c, r in zip(f.coeffs.values(), row):
+        term = c * r
+        total = term if total is None else total + term
+    return f.ring.zero() if total is None else total
 
 
 def evaluate(f: HomogeneousForm, point) -> object:
@@ -274,29 +326,7 @@ def evaluate(f: HomogeneousForm, point) -> object:
         raise DimensionMismatch(
             f"form in {f.nvars} variables evaluated at a {len(coords)}-tuple"
         )
-    pows = _coord_powers(coords, f.degree)
-    total = None
-    for exps, c in f.coeffs.items():
-        term = c
-        for i, e in enumerate(exps):
-            if e:
-                term = term * pows[i][e]
-        total = term if total is None else total + term
-    return total if total is not None else f.ring.zero()
-
-
-def partial_derivative(f: HomogeneousForm, i: int) -> HomogeneousForm:
-    out = {}
-    for exps, c in f.coeffs.items():
-        if exps[i] == 0:
-            continue
-        e = list(exps)
-        mult = e[i]
-        e[i] -= 1
-        scaled = c * mult
-        if not scalar_is_zero(scaled):
-            out[tuple(e)] = scaled
-    return HomogeneousForm(f.ring, f.nvars, max(f.degree - 1, 0), out)
+    return form_value(f, evaluation_row(f.ring, coords, list(f.coeffs)))
 
 
 def directional_derivative(f: HomogeneousForm, point, direction) -> object:
@@ -307,12 +337,23 @@ def directional_derivative(f: HomogeneousForm, point, direction) -> object:
         raise DimensionMismatch("coordinate arity mismatch")
     if _proportional(pc, dc):
         raise DependentDirection("direction must be independent of the point")
-    total = f.ring.zero()
-    for i, v in enumerate(dc):
-        if scalar_is_zero(v) if hasattr(v, "is_zero") else v == 0:
-            continue
-        total = total + v * evaluate(partial_derivative(f, i), pc)
-    return total
+    return form_value(f, derivative_row(f.ring, pc, dc, list(f.coeffs)))
+
+
+def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
+    """f(u·A + s·B), a binary form in (u, s) of degree f.degree over the
+    scalars of f; A and B are coordinate rows of field elements."""
+    ring = f.ring
+    if f.degree == 0:  # a constant restricts to itself
+        return HomogeneousForm(ring, 2, 0, {(0, 0): c for c in f.coeffs.values()})
+    coords = [
+        HomogeneousForm(ring, 2, 1, {(1, 0): ring.const(a), (0, 1): ring.const(b)})
+        for a, b in zip(A, B)
+    ]
+    out = HomogeneousForm(ring, 2, f.degree, {})
+    for c, r in zip(f.coeffs.values(), evaluation_row(ring, coords, list(f.coeffs))):
+        out = out + r.scale(c)
+    return out
 
 
 def _proportional(u, v):
@@ -347,52 +388,17 @@ class EvaluationMatrix:
         return len(self.monos)
 
 
-def evaluation_row(ring: ScalarRing, coords, monos) -> list:
-    degree = sum(monos[0]) if monos else 0
-    pows = _coord_powers(coords, degree)
-    row = []
-    one = ring.one()
-    for exps in monos:
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                term = pows[i][e] if term is None else term * pows[i][e]
-        row.append(term if term is not None else one)
-    return row
-
-
-def derivative_row(ring: ScalarRing, coords, direction, monos) -> list:
-    """Row of Sum_i v_i d(mono)/d x_i evaluated at coords."""
-    degree = sum(monos[0]) if monos else 0
-    pows = _coord_powers(coords, degree)
-    zero = ring.zero()
-
-    def mono_eval(exps):
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                term = pows[i][e] if term is None else term * pows[i][e]
-        return term if term is not None else ring.one()
-
-    row = []
-    for exps in monos:
-        total = zero
-        for i, v in enumerate(direction):
-            if exps[i] == 0 or scalar_is_zero(v):
-                continue
-            e = list(exps)
-            e[i] -= 1
-            total = total + v * mono_eval(tuple(e)) * exps[i]
-        row.append(total)
-    return row
-
-
-def point_evaluation_matrix(ring: ScalarRing, points, degree: int, nvars: int) -> EvaluationMatrix:
+def condition_matrix(ring: ScalarRing, entries, degree: int, nvars: int) -> EvaluationMatrix:
+    """The degree-`degree` conditions of (point, direction-or-None)
+    entries: an evaluation row per point, then a derivative row along its
+    direction, if it has one.  Coordinates are coerced into `ring`."""
     monos = monomials(nvars, degree)
     rows = []
-    for p in points:
-        coords = p.coords if hasattr(p, "coords") else list(p)
+    for point, direction in entries:
+        coords = ring.coerce_point_coords(point)
         rows.append(evaluation_row(ring, coords, monos))
+        if direction is not None:
+            rows.append(derivative_row(ring, coords, ring.coerce_point_coords(direction), monos))
     return EvaluationMatrix(ring, nvars, degree, rows, monos)
 
 
@@ -561,17 +567,6 @@ class CommonFactor:
     note: str = ""
 
 
-def _as_univariate(f: HomogeneousForm, var: int):
-    """Coefficients of f as a poly in x_var; each coeff a form in the others."""
-    out: dict = {}
-    keep = [i for i in range(f.nvars) if i != var]
-    for exps, c in f.coeffs.items():
-        e = exps[var]
-        rest = tuple(exps[i] for i in keep)
-        out.setdefault(e, {})[rest] = c
-    return out, keep
-
-
 def _shear_form(f: HomogeneousForm, var: int, other: int, t) -> HomogeneousForm:
     """Substitute x_other -> x_other + t * x_var."""
     ring = f.ring
@@ -619,21 +614,10 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
 
 def _specialize_line(f: HomogeneousForm, var: int, v_scalars):
     """Restrict to x_i = u_i for the two non-`var` variables; poly in x_var."""
-    uni, keep = _as_univariate(f, var)
-    out = []
-    for e in range(f.degree + 1):
-        coeffs = uni.get(e)
-        if coeffs is None:
-            out.append(f.ring.zero())
-            continue
-        total = f.ring.zero()
-        for rest, c in coeffs.items():
-            term = c
-            for val, ex in zip(v_scalars, rest):
-                for _ in range(ex):
-                    term = term * val
-            total = total + term
-        out.append(total)
+    rest = [exps[:var] + exps[var + 1:] for exps in f.coeffs]
+    out = [f.ring.zero()] * (f.degree + 1)
+    for exps, c, r in zip(f.coeffs, f.coeffs.values(), evaluation_row(f.ring, v_scalars, rest)):
+        out[exps[var]] = out[exps[var]] + c * r
     while out and scalar_is_zero(out[-1]):
         out.pop()
     return out
@@ -767,9 +751,5 @@ def hilbert_value(Z, d: int) -> int:
     """dim [I(Z)]_d = C(d+n, n) - rank of the degree-d condition matrix."""
     if d < 1:
         raise PolyError("degree must be >= 1")
-    if isinstance(Z, PointSet):
-        ring = ScalarRing(Z.field)
-        mat = point_evaluation_matrix(ring, Z.points, d, Z.dim + 1)
-    else:
-        mat = Z.condition_rows(d)
+    mat = condition_matrix(ScalarRing(Z.field), Z.as_projection_entries(), d, Z.dim + 1)
     return mat.ncols - condition_rank(mat)

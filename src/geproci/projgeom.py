@@ -129,7 +129,10 @@ class ProjectiveLine3:
 
 
 class PointSet:
-    """A sorted, duplicate-free set of points of P^n over a fixed field."""
+    """A sorted, duplicate-free set of points of P^n over a fixed field.
+
+    It is immutable, and answers the scheme interface of
+    `fatpoints.FatPointScheme` as a scheme of simple points."""
 
     def __init__(self, field, points: Iterable[ProjectivePoint], dim: int = None):
         members = frozenset(points)
@@ -145,6 +148,7 @@ class PointSet:
         self.dim = dim
         self.points = tuple(pts)
         self._members = members
+        self._classes = None  # collinear_classes, computed on first use
 
     def __len__(self):
         return len(self.points)
@@ -161,6 +165,15 @@ class PointSet:
             and self.field == other.field
             and self.points == other.points
         )
+
+    def scheme_length(self) -> int:
+        return len(self.points)
+
+    def as_projection_entries(self) -> list:
+        return [(p, None) for p in self.points]
+
+    def support_points(self) -> "PointSet":
+        return self
 
     def minus(self, other: "PointSet") -> "PointSet":
         return PointSet(self.field, [p for p in self.points if p not in other], self.dim)
@@ -258,8 +271,15 @@ def collinear_classes(Z: PointSet) -> list:
     two points lie on one line through p iff their normalized directions
     are equal.  A class is emitted at its smallest member and ORed into
     `done` of each member, so the projection from a later member skips the
-    points already in a class with it.
+    points already in a class with it.  The classes are computed once per
+    set; each call returns a fresh list.
     """
+    if Z._classes is None:
+        Z._classes = _collinear_classes(Z)
+    return list(Z._classes)
+
+
+def _collinear_classes(Z: PointSet) -> list:
     F = Z.field
     sub, mul, inv, is_zero = F.sub_rep, F.mul_rep, F.inv_rep, F.rep_is_zero
     pts = [p.reps for p in Z.points]

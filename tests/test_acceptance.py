@@ -352,14 +352,14 @@ def test_generic_random_agreement_on_fixtures(P3F2, mps7_q3, forty_points_q7, F2
 
 
 def test_kernel_soundness_rechecks(F5):
-    from geproci.multipoly import kernel_of_conditions, point_evaluation_matrix
+    from geproci.multipoly import condition_matrix, kernel_of_conditions
 
     rng = random.Random(5)
     ring = ScalarRing(F5)
     pts = list(enumerate_projective_space(F5, 2).points)
     for _ in range(10):
         sample = rng.sample(pts, 8)
-        mat = point_evaluation_matrix(ring, sample, 3, 3)
+        mat = condition_matrix(ring, [(p, None) for p in sample], 3, 3)
         kern = kernel_of_conditions(mat)
         assert kern.recheck()
         assert kern.dimension + kern.rank == 10

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from geproci import core, fatpoints, multipoly
+from geproci import core, fatpoints, multipoly, projgeom
 from geproci.fields import extend_field, parse_field_spec
-from geproci.multipoly import evaluate, scalar_is_zero, ScalarRing
+from geproci.multipoly import HomogeneousForm, evaluate, scalar_is_zero, ScalarRing
 from geproci.projgeom import (
     PointSet,
+    ProjectiveLine3,
     ProjectivePoint,
     all_lines,
     collinear_subsets,
     enumerate_projective_space,
+    lines_skew,
     matrix_rank,
 )
 from geproci.spreads import complement_points
@@ -163,6 +165,60 @@ def test_frobenius_cone_vanishes_and_membership(spec, q):
     for pt in enumerate_projective_space(F, 3):
         assert scalar_is_zero(evaluate(cone, P.ring.coerce_point_coords(pt)))
     assert core.frobenius_membership_check(F, P)
+
+
+def test_transversality_tests_the_restriction_in_any_degree(F2):
+    # G = (z w^2 - z^2 w)(w^2 + w z + z^2) vanishes at every point of
+    # P^1(F_4) in (z : w), so it vanishes at all rational parameters of
+    # every line and at every F_4 one; yet on a line where (z, w) are
+    # independent its restriction is a nonzero quintic.  It is zero exactly
+    # on the lines meeting z = w = 0, where (z, w) has rank at most 1.
+    ring = ScalarRing(F2)
+    one = F2.one()
+    G = (HomogeneousForm(ring, 4, 3, {(0, 0, 1, 2): one, (0, 0, 2, 1): -one})
+         * HomogeneousForm(ring, 4, 2, {(0, 0, 0, 2): one, (0, 0, 1, 1): one, (0, 0, 2, 0): one}))
+    report = core.cone_line_transversality(G, F2)
+    assert report.total == 35
+    assert ProjectiveLine3(F2, [[0, 0, 1, 0], [0, 0, 0, 1]]) not in report.violations
+    xy_axis = ProjectiveLine3(F2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert report.violations == [L for L in all_lines(F2) if not lines_skew(L, xy_axis)]
+    assert len(report.violations) == 19
+    # in degree 0, a nonzero constant vanishes on no line and 0 on every line
+    constant = HomogeneousForm(ring, 4, 0, {(0, 0, 0, 0): one})
+    assert core.cone_line_transversality(constant, F2).violations == []
+    assert len(core.cone_line_transversality(constant.scale(F2.zero()), F2).violations) == 35
+
+
+@pytest.mark.parametrize("spec,q,nplane", [("p=2", 2, 7), ("p=3", 3, 13), ("p=2;ext=2", 4, 21)])
+def test_transversality_flags_the_lines_of_the_plane_x_0(spec, q, nplane):
+    F = parse_field_spec(spec)
+    form = HomogeneousForm(ScalarRing(F), 4, q + 1, {(q + 1, 0, 0, 0): F.one()})
+    report = core.cone_line_transversality(form, F)
+    assert report.total == (q * q + 1) * (q * q + q + 1)
+    in_plane = [L for L in all_lines(F) if all(F.rep_is_zero(row[0]) for row in L.rows)]
+    assert report.violations == in_plane
+    assert len(in_plane) == q * q + q + 1 == nplane
+
+
+def test_collinear_classes_are_computed_once_per_set(monkeypatch, forty_points_q7):
+    # they depend on Z alone: three trials, each sampling a point off the
+    # secants and partitioning Z for degrees 5 and 8, compute them once
+    calls = []
+    compute = projgeom._collinear_classes
+
+    def counting(Z):
+        calls.append(Z)
+        return compute(Z)
+
+    monkeypatch.setattr(projgeom, "_collinear_classes", counting)
+    Z = PointSet(forty_points_q7.field, forty_points_q7.points, 3)
+    assert core.geproci_check(Z, 5, 8, mode="random", trials=3).geproci
+    assert len(calls) == 1
+    # each call returns a fresh list, which a caller may sort in place
+    classes = projgeom.collinear_classes(Z)
+    classes.reverse()
+    assert projgeom.collinear_classes(Z) == classes[::-1] != classes
+    assert len(calls) == 1
 
 
 def test_scalar_ring_refuses_a_scalar_ring(F2):

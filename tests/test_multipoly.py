@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from geproci.fields import parse_field_spec
+from geproci.fields import MultiPoly, parse_field_spec
 from geproci.multipoly import (
     CommonFactor,
     CoprimalityWitness,
@@ -12,15 +12,17 @@ from geproci.multipoly import (
     HomogeneousForm,
     ScalarRing,
     ZeroInput,
+    _specialize_line,
+    condition_matrix,
     coprime_certificate,
+    derivative_row,
     directional_derivative,
     evaluate,
     hilbert_value,
     kernel_of_conditions,
     monomial_count,
     monomials,
-    partial_derivative,
-    point_evaluation_matrix,
+    restrict_to_line,
     scalar_is_zero,
 )
 from geproci.projgeom import PointSet, enumerate_projective_space
@@ -45,8 +47,9 @@ def test_evaluate_and_derivative(F3):
     f = _form(ring, 3, 3, {(2, 1, 0): one, (0, 0, 3): two})
     val = evaluate(f, [one, two, one])
     assert val == F3.from_index(1)  # 1*2 + 2*1 = 4 = 1 mod 3
-    fx = partial_derivative(f, 0)  # 2 x y
-    assert evaluate(fx, [one, one, F3.from_index(0)]) == two
+    zero = F3.from_index(0)
+    # along (1, 0, 0) the derivative is df/dx = 2 x y
+    assert directional_derivative(f, [one, one, zero], [one, zero, zero]) == two
 
 
 def test_directional_derivative_rejects_dependent(F2):
@@ -60,7 +63,7 @@ def test_directional_derivative_rejects_dependent(F2):
 def test_kernel_recheck_finite(F3):
     ring = ScalarRing(F3)
     pts = list(enumerate_projective_space(F3, 2).points)[:6]
-    mat = point_evaluation_matrix(ring, pts, 3, 3)
+    mat = condition_matrix(ring, [(p, None) for p in pts], 3, 3)
     kern = kernel_of_conditions(mat)
     assert kern.dimension == 10 - kern.rank
     assert kern.recheck()
@@ -73,7 +76,7 @@ def test_kernel_recheck_function_field(F2):
     ring = ScalarRing(F2, names=("a", "b", "c"))
     a, b, c = ring.gens()
     pts = [[ring.one(), a, b], [a, ring.one(), c], [b, c, ring.one()]]
-    mat = point_evaluation_matrix(ring, pts, 2, 3)
+    mat = condition_matrix(ring, [(p, None) for p in pts], 2, 3)
     kern = kernel_of_conditions(mat)
     assert kern.dimension == 6 - kern.rank == 3
     assert kern.recheck()
@@ -156,6 +159,87 @@ def test_coprime_certificate_function_field(F2):
     shared = x2 * y2
     w2 = coprime_certificate(shared, x2)
     assert isinstance(w2, CommonFactor)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation layer against sympy
+
+_ABC = sympy.symbols("a b c")
+_US = sympy.symbols("u s")
+
+
+def _sym(c):
+    """A scalar of F_p or of F_p[a,b,c] as a sympy expression."""
+    if isinstance(c, MultiPoly):
+        return sum((c.field.rep_to_index(v) * sympy.prod(g ** e for g, e in zip(_ABC, c.exps(k)))
+                    for k, v in c.terms.items()), sympy.Integer(0))
+    return sympy.Integer(c.index)
+
+
+def _sym_form(f, gens=_XYZ):
+    return sum((_sym(c) * sympy.prod(g ** e for g, e in zip(gens, exps))
+                for exps, c in f.coeffs.items()), sympy.Integer(0))
+
+
+def _same(ours, oracle, p):
+    return sympy.Poly(sympy.expand(ours - oracle), *_XYZ, *_ABC, *_US, modulus=p).is_zero
+
+
+def _random_scalar(ring, rng):
+    """A field element, or a binomial of degree <= 2 in a, b, c."""
+    F = ring.field
+    if ring.finite:
+        return F.from_index(rng.randrange(F.size))
+    a, b, c = ring.gens()
+    m = rng.choice((a, b, c, a * b, c * c))
+    return ring.const(rng.randrange(F.size)) + m * rng.randrange(F.size)
+
+
+@pytest.mark.parametrize("spec,names", [("p=5", ()), ("p=3", ("a", "b", "c"))])
+def test_evaluation_layer_matches_sympy(spec, names):
+    F = parse_field_spec(spec)
+    ring = ScalarRing(F, names)
+    p = F.char
+    rng = random.Random(13)
+    for _ in range(12):
+        d = rng.randrange(1, 5)
+        monos = monomials(3, d)
+        f = HomogeneousForm(ring, 3, d, {e: _random_scalar(ring, rng) for e in monos})
+        pt = [_random_scalar(ring, rng) for _ in range(3)]
+        f_sym = _sym_form(f)
+        at = dict(zip(_XYZ, map(_sym, pt)))
+        assert _same(_sym(evaluate(f, pt)), f_sym.subs(at), p)
+
+        while True:
+            v = [_random_scalar(ring, rng) for _ in range(3)]
+            try:
+                got = directional_derivative(f, pt, v)
+                break
+            except DependentDirection:
+                pass
+
+        def along_v(expr):
+            return sum(_sym(vi) * sympy.diff(expr, x) for vi, x in zip(v, _XYZ)).subs(at)
+
+        assert _same(_sym(got), along_v(f_sym), p)
+        for m, r in zip(monos, derivative_row(ring, pt, v, monos)):
+            assert _same(_sym(r), along_v(sympy.prod(x ** e for x, e in zip(_XYZ, m))), p)
+
+        var = rng.randrange(3)
+        u = [_random_scalar(ring, rng) for _ in range(2)]
+        others = [x for i, x in enumerate(_XYZ) if i != var]
+        coeffs = _specialize_line(f, var, u)
+        assert not coeffs or not scalar_is_zero(coeffs[-1])
+        ours = sum(_sym(c) * _XYZ[var] ** k for k, c in enumerate(coeffs))
+        assert _same(ours, f_sym.subs(dict(zip(others, map(_sym, u)))), p)
+
+        A = [F.from_index(rng.randrange(F.size)) for _ in range(3)]
+        B = [F.from_index(rng.randrange(F.size)) for _ in range(3)]
+        g = restrict_to_line(f, A, B)
+        assert (g.nvars, g.degree) == (2, d)
+        u_, s_ = _US
+        on_line = {x: _sym(a) * u_ + _sym(b) * s_ for x, a, b in zip(_XYZ, A, B)}
+        assert _same(_sym_form(g, _US), f_sym.subs(on_line, simultaneous=True), p)
 
 
 def test_form_serialize_roundtrip_text(F3):
