@@ -43,6 +43,7 @@ from .multipoly import (
     evaluate,
     hilbert_value,
     kernel_of_conditions,
+    proportional,
     restrict_to_line,
     scalar_is_zero,
 )
@@ -130,7 +131,7 @@ def _on_secant(p: ProjectivePoint, u: ProjectivePoint, v: ProjectivePoint, E) ->
     F = u.field
     add, sub, mul = F.add_rep, F.sub_rep, F.mul_rep
     U, V = u.reps, v.reps
-    coords = [(x,) for x in p.reps] if E == F else p.reps
+    coords = [(x,) for x in p.reps] if E == F else [E.coeffs(x) for x in p.reps]
 
     def minor(a, b):
         return sub(mul(U[a], V[b]), mul(U[b], V[a]))
@@ -204,7 +205,7 @@ def _first_collision(ring: ScalarRing, images: list):
     if not ring.finite:
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
-                if _proj_equal(images[i], images[j]):
+                if proportional(images[i], images[j]):
                     return i, j
         return None
     first, pairs = {}, []
@@ -220,14 +221,6 @@ def _first_collision(ring: ScalarRing, images: list):
         else:
             first[key] = j
     return min(pairs, default=None)
-
-
-def _proj_equal(u, v) -> bool:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not scalar_is_zero(u[i] * v[j] - u[j] * v[i]):
-                return False
-    return True
 
 
 def interpolate_curve(S: ProjectedScheme, degree: int) -> KernelBasis:

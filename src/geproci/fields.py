@@ -1,27 +1,29 @@
 """Exact arithmetic: prime fields, extension towers, and polynomials over them.
 
-Elements carry a raw ``rep`` (an int for a prime field, a tuple of
-lower-layer reps for an extension layer) so inner loops can work on plain
-Python data; the :class:`FieldElement` wrapper adds operators on top.
+Elements carry a raw ``rep`` so inner loops can work on plain Python data;
+the :class:`FieldElement` wrapper adds operators on top.  A prime field's
+rep is an int in range(p).  An extension layer's rep is a tuple of
+lower-layer reps, except in the large prime-base layers below, whose rep
+is one packed int.
 
 An extension layer of at most ``ZECH_MAX_SIZE`` (2^16) elements multiplies
 and inverts by table lookup.  On first use it finds a primitive element g
 and tabulates exp[i] = g^i and log[g^i] = i; then a*b = exp[log a + log b]
-and 1/a = exp[-log a], with the exponents taken mod q-1.  Reps stay tuples,
-so element indices, spec strings and point files do not change.
+and 1/a = exp[-log a], with the exponents taken mod q-1.
 
 Larger layers (the random-mode extensions) compute polynomially.  Over a
 tower base they multiply schoolbook and invert by the extended Euclidean
-algorithm, both on lists of base-field reps.  Over a prime base they
-multiply by Kronecker packing, one W-bit slot per coefficient in one
-Python int, the product folded back below the modulus degree by its high
-part times the modulus tail, and invert by the extended Euclidean
-algorithm on plain int coefficients mod p.  There `row_reduce`, the one
-finite-field row reduction, also runs on packed ints and reduces the
-slots mod p only where it reads a value.  W comes from a worst-case slot
-bound simulated once per layer.  The same packed products give the
-powers x^(p^k) of Rabin's irreducibility test, which picks each layer's
-modulus.
+algorithm, both on lists of base-field reps.  Over a prime base an
+element is the Kronecker-packed int sum c_i << (S*i) of its coefficients,
+each canonical in [0, p) (see `_Packing`).  A product is one int product
+folded back below the modulus degree by its high part times the modulus
+tail; a sum or a product is then brought back to canonical slots by one
+Barrett step that reduces every slot mod p at once.  The inverse runs the
+extended Euclidean algorithm on the unpacked int coefficients mod p, and
+`row_reduce`, the one finite-field row reduction, works on the packed
+ints directly.  The same packed products give the powers x^(p^k) of
+Rabin's irreducibility test, which picks each layer's modulus.  Element
+indices, spec strings and point files are the same for every rep.
 
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
@@ -220,20 +222,8 @@ def _frobenius_orbit(p: int, m) -> list:
     degree n >= 2 over F_p.  Each is the p-th power of the one before, by
     square-and-multiply of canonical ints packed as in `_Packing`."""
     K = _Packing(p, m)
-    shifts, mask, nW, low, tail = K.mul_layout
-    folds = range(K.folds)
-    bits = bin(p)[3:]
-
-    def mul(a, b):
-        v = a * b
-        for _ in folds:
-            v = (v & low) + (v >> nW) * tail
-        out = 0
-        for s in shifts:
-            out |= (((v >> s) & mask) % p) << s
-        return out
-
-    y = 1 << shifts[1]  # x
+    mul, bits = K.mul, bin(p)[3:]
+    y = 1 << K.S  # x
     orbit = [y]
     for _ in range(K.n):
         z = y
@@ -243,7 +233,7 @@ def _frobenius_orbit(p: int, m) -> list:
                 z = mul(z, y)
         y = z
         orbit.append(y)
-    return [[(y >> s) & mask for s in shifts] for y in orbit]
+    return [K.unpack(y) for y in orbit]
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +338,27 @@ ZECH_MAX_SIZE = 1 << 16
 
 
 class _Packing:
-    """Kronecker packing of F_p[t]/(m): one W-bit slot per coefficient.
+    """Kronecker packing of F_p[t]/(m): one S-bit slot per coefficient.
 
-    An element c_0 + ... + c_{n-1} t^{n-1} is the integer sum c_i << (W*i),
-    so one big-int product is the whole convolution.  Reduction mod m folds
-    the high part back: with t^n = tail(t) mod m, v -> low(v) + high(v) *
-    tail, repeated until the degree is below n.  Slots are never reduced
-    mod p inside a product or a fold, so all values stay nonnegative and
-    no slot borrows from its neighbour; a slot is reduced only when it is
-    read (see `row_reduce`).
+    An element c_0 + ... + c_{n-1} t^{n-1} is the integer sum c_i << (S*i)
+    with every c_i in [0, p), so one big-int product is the whole
+    convolution.  Reduction mod m folds the high part back: with t^n =
+    tail(t) mod m, v -> low(v) + high(v) * tail, repeated until the degree
+    is below n.  Products and folds leave the slots unreduced, and all
+    values stay nonnegative, so no slot borrows from its neighbour.
 
-    The slot bound is simulated once per tower on the all-(p-1) inputs,
-    which maximize every slot of the product and of each fold at once:
-    `peak` is the largest slot value anywhere on the way, `final` the
-    largest slot of a folded product, `folds` the number of folds.
+    `reduce` then takes every slot mod p at once by one Barrett step
+    (Barrett, CRYPTO '86).  With every slot below 2^W, k = W + bits(p) and
+    m = ceil(2^k / p), the quotient of slot x is (x*m) >> k exactly, since
+    x*m/2^k - x/p < 2^W/2^k <= 1/p.  Each x*m is below 2^(W+k) <= 2^S, so
+    one product v*m, one shift and one mask give all the quotients.
+
+    W comes from a simulation on the all-(p-1) inputs, which maximize every
+    slot of the product and of each fold at once: 2^W exceeds the largest
+    slot value anywhere on the way, and a canonical value plus a folded
+    product, as a row update in `row_reduce` makes.  `folds` counts the
+    folds.  The packed layers keep their elements in this form; the
+    smaller prime-base layers pack their tuples only to multiply.
     """
 
     def __init__(self, p: int, modulus: Sequence[int]):
@@ -377,30 +374,61 @@ class _Packing:
                 for j, t in enumerate(tail):
                     v[i + j] += h * t
             peak, folds = max(peak, max(v)), folds + 1
-        self.p, self.n, self.tail = p, n, tail
-        self.peak, self.final, self.folds = peak, max(v), folds
-        self._layouts = {}
-        self.mul_layout = self.layout(0)
+        W = max(peak, p - 1 + max(v)).bit_length()
+        k = W + p.bit_length()
+        S = W + k
+        self.p, self.n, self.W, self.S, self.folds = p, n, W, S, range(folds)
+        self.shifts, self.mask = range(0, n * S, S), (1 << S) - 1
+        self.nS, self.low = n * S, (1 << (n * S)) - 1
+        self.tail = sum(t << (S * i) for i, t in enumerate(tail))
+        self.k, self.m = k, -(-(1 << k) // p)
+        self.qmask = sum(((1 << (S - k)) - 1) << s for s in self.shifts)
+        self.ps = sum(p << s for s in self.shifts)  # p in every slot
 
-    def layout(self, acc: int):
-        """Slot layout for values that take up to `acc` folded products on
-        top of a canonical one: (shifts, mask, n*W, low mask, packed tail)."""
-        if acc not in self._layouts:
-            W = max(self.peak, self.p - 1 + acc * self.final).bit_length()
-            nW = self.n * W
-            tail = sum(t << (W * i) for i, t in enumerate(self.tail))
-            self._layouts[acc] = (range(0, nW, W), (1 << W) - 1, nW, (1 << nW) - 1, tail)
-        return self._layouts[acc]
+    def pack(self, coeffs) -> int:
+        v = 0
+        for c, s in zip(coeffs, self.shifts):
+            v |= c << s
+        return v
+
+    def unpack(self, v) -> list:
+        mask = self.mask
+        return [(v >> s) & mask for s in self.shifts]
+
+    def reduce(self, v: int) -> int:
+        """Every slot of v mod p; exact while every slot is below 2^W."""
+        return v - (((v * self.m) >> self.k) & self.qmask) * self.p
+
+    def mul(self, a: int, b: int) -> int:
+        v = a * b
+        low, nS, tail = self.low, self.nS, self.tail
+        for _ in self.folds:
+            v = (v & low) + (v >> nS) * tail
+        return self.reduce(v)
+
+    def add(self, a: int, b: int) -> int:
+        return self.reduce(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.reduce(a + self.ps - b)  # slots in [1, 2p)
+
+    def neg(self, a: int) -> int:
+        return self.reduce(self.ps - a)
 
 
 class FieldTower:
-    """One extension layer F_s[t]/(m) over a base field of size s."""
+    """One extension layer F_s[t]/(m) over a base field of size s.
+
+    `modulus` lists base-field reps, low to high.  A layer over a prime
+    base with more than ZECH_MAX_SIZE elements sets `packed`, and its reps
+    are the canonical packed ints of that `_Packing`; every other layer's
+    reps are tuples of `degree` base-field reps.
+    """
 
     def __init__(self, base, modulus: Sequence, check: bool = True):
         self.base = base
         self.char = base.char
-        mod = [base.index_to_rep(c) if isinstance(c, int) else c for c in modulus]
-        mod = _pnorm(list(mod))
+        mod = _pnorm(list(modulus))
         if len(mod) < 2:
             raise ReducibleModulus("modulus must have degree >= 1")
         inv = base.inv_rep(mod[-1])
@@ -408,31 +436,45 @@ class FieldTower:
         self.modulus = tuple(mod)
         self.degree = len(mod) - 1
         self.size = base.size ** self.degree
-        self.zero_rep = tuple([base.zero_rep] * self.degree)
-        one = [base.zero_rep] * self.degree
-        one[0] = base.one_rep
-        self.one_rep = tuple(one)
         if check and not is_irreducible(base, list(self.modulus)):
             raise ReducibleModulus("modulus is reducible over the base field")
         # prime-base layers multiply on packed ints; the large ones (no
-        # tables) also eliminate on them, see row_reduce
+        # tables) keep their elements packed
         self._kron = _Packing(base.p, self.modulus) if isinstance(base, PrimeField) else None
         self.packed = self._kron if self.size > ZECH_MAX_SIZE else None
+        self.zero_rep = self.from_coeffs([])
+        self.one_rep = self.from_coeffs([base.one_rep])
         self._log = self._exp = None  # built on first use, see _tables
 
-    def _pad(self, f):
-        f = list(f) + [self.base.zero_rep] * (self.degree - len(f))
-        return tuple(f[: self.degree])
+    def coeffs(self, a) -> list:
+        """The base-field reps of a, low to high, `degree` of them."""
+        if self.packed is not None:
+            return self.packed.unpack(a)
+        return list(a)
+
+    def from_coeffs(self, coeffs):
+        """The rep with the given base-field reps, low to high; missing ones
+        are zero and those past `degree` are dropped."""
+        if self.packed is not None:
+            return self.packed.pack(coeffs)
+        f = list(coeffs[: self.degree])
+        return tuple(f + [self.base.zero_rep] * (self.degree - len(f)))
 
     def add_rep(self, a, b):
+        if self.packed is not None:
+            return self.packed.add(a, b)
         B = self.base
         return tuple(B.add_rep(x, y) for x, y in zip(a, b))
 
     def sub_rep(self, a, b):
+        if self.packed is not None:
+            return self.packed.sub(a, b)
         B = self.base
         return tuple(B.sub_rep(x, y) for x, y in zip(a, b))
 
     def neg_rep(self, a):
+        if self.packed is not None:
+            return self.packed.neg(a)
         B = self.base
         return tuple(B.neg_rep(x) for x in a)
 
@@ -468,6 +510,8 @@ class FieldTower:
         return log
 
     def mul_rep(self, a, b):
+        if self.packed is not None:
+            return self.packed.mul(a, b)
         log = self._log
         if log is None:
             if self.size > ZECH_MAX_SIZE:
@@ -493,23 +537,16 @@ class FieldTower:
         return self._exp[self.size - 1 - k]
 
     def _mul_poly(self, a, b):
-        """Product by polynomial multiplication and reduction."""
+        """Product by polynomial multiplication and reduction: packed over a
+        prime base, schoolbook on base-field reps over a tower."""
         K = self._kron
         if K is not None:
-            shifts, mask, nW, low, tail = K.mul_layout
-            pa = pb = 0
-            for x, y, s in zip(a, b, shifts):
-                pa |= x << s
-                pb |= y << s
-            v = pa * pb
-            for _ in range(K.folds):
-                v = (v & low) + (v >> nW) * tail
-            return tuple(((v >> s) & mask) % K.p for s in shifts)
+            return tuple(K.unpack(K.mul(K.pack(a), K.pack(b))))
         B = self.base
         prod = _pmul(B, list(a), list(b))
         if len(prod) >= len(self.modulus):
             prod = _pmod(B, prod, list(self.modulus))
-        return self._pad(prod)
+        return self.from_coeffs(prod)
 
     def _inv_poly(self, a):
         """Inverse by the extended Euclidean algorithm on (a, modulus), on
@@ -517,7 +554,7 @@ class FieldTower:
         tower."""
         B = self.base
         if self._kron is not None:
-            return self._pad(_inv_mod_p(B.p, self.modulus, a))
+            return self.from_coeffs(_inv_mod_p(B.p, self.modulus, self.coeffs(a)))
         r0, r1 = list(self.modulus), _pnorm(list(a))
         if not r1:
             raise ZeroDivisionError("inverse of zero")
@@ -529,18 +566,18 @@ class FieldTower:
         inv = B.inv_rep(r0[-1])  # r0 is a nonzero constant for coprime inputs
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible")
-        return self._pad([B.mul_rep(c, inv) for c in s0])
+        return self.from_coeffs([B.mul_rep(c, inv) for c in s0])
 
     def rep_is_zero(self, a):
-        # every tuple rep the library builds has reduced entries, so it is
-        # zero iff it equals zero_rep; other sequences are walked
-        if type(a) is tuple:
+        # every rep the library builds is canonical, so it is zero iff it
+        # equals zero_rep; other sequences are walked
+        if type(a) is tuple or self.packed is not None:
             return a == self.zero_rep
         return all(self.base.rep_is_zero(x) for x in a)
 
     def rep_to_index(self, a):
         idx = 0
-        for c in reversed(a):
+        for c in reversed(self.coeffs(a)):
             idx = idx * self.base.size + self.base.rep_to_index(c)
         return idx
 
@@ -549,7 +586,7 @@ class FieldTower:
         for _ in range(self.degree):
             i, r = divmod(i, self.base.size)
             out.append(self.base.index_to_rep(r))
-        return tuple(out)
+        return self.from_coeffs(out)
 
     def zero(self):
         return FieldElement(self, self.zero_rep)
@@ -564,14 +601,9 @@ class FieldTower:
             return FieldElement(self, self.lift_rep(value.field, value.rep))
         if isinstance(value, int):
             # integer -> image of Z in this field (repeated 1s), i.e. value mod p
-            c = value % self.char
-            rep = [self.base.zero_rep] * self.degree
-            rep[0] = self.base.element(c).rep if isinstance(self.base, FieldTower) else c
-            return FieldElement(self, tuple(rep))
+            return FieldElement(self, self.from_coeffs([self.base.element(value).rep]))
         if isinstance(value, (list, tuple)):
-            rep = [self.base.element(c).rep for c in value]
-            rep += [self.base.zero_rep] * (self.degree - len(rep))
-            return FieldElement(self, tuple(rep[: self.degree]))
+            return FieldElement(self, self.from_coeffs([self.base.element(c).rep for c in value]))
         raise FieldError(f"cannot coerce {value!r}")
 
     def from_index(self, i: int) -> "FieldElement":
@@ -584,10 +616,7 @@ class FieldTower:
     def lift_rep(self, sub, rep):
         if sub is self or sub == self:
             return rep
-        lifted = self.base.lift_rep(sub, rep)
-        out = [self.base.zero_rep] * self.degree
-        out[0] = lifted
-        return tuple(out)
+        return self.from_coeffs([self.base.lift_rep(sub, rep)])
 
     def spec_string(self) -> str:
         if isinstance(self.base, PrimeField):
@@ -731,8 +760,15 @@ class FieldElement:
         # hash on the smallest tower layer holding the element, so that it
         # hashes like its equal images in subfields and extensions
         F, rep = self.field, self.rep
-        while isinstance(F, FieldTower) and rep[1:] == F.zero_rep[1:]:
-            F, rep = F.base, rep[0]
+        while isinstance(F, FieldTower):
+            if F.packed is not None:
+                if rep >> F.packed.S:  # a packed rep in F_p is its slot 0
+                    break
+            elif rep[1:] == F.zero_rep[1:]:
+                rep = rep[0]
+            else:
+                break
+            F = F.base
         return hash((F.size, rep))
 
     def __repr__(self):
@@ -795,88 +831,54 @@ def _row_reduce_loop(F, rows):
 
 
 def _row_reduce_packed(F, rows):
-    """Gauss-Jordan on Kronecker-packed ints with lazily reduced slots.
+    """Gauss-Jordan on the packed reps of a large prime-base layer.
 
-    Entries are packed ints (see _Packing).  A row update adds f' * y,
-    folded, to each cell, where f' is the negated row multiplier and y the
-    scaled pivot row, both canonical; the cell's slots are left unreduced.
-    Slots are reduced mod p only where a value is read: a pivot test, a row
-    multiplier, the scaled pivot row, and the final unpack.  A cell is
-    updated only by pivots in other rows and in columns left of it, so it
-    takes at most min(rows, cols) - 1 folded products between two
-    reductions, and the slot width is chosen for exactly that many.
+    A row update adds f * y, folded, to each cell, where f is the negated
+    row multiplier and y the scaled pivot row, and reduces the sum by one
+    Barrett step: f, y and the cell are canonical, so every slot of the
+    sum is below 2^W, the bound of `_Packing.reduce`.  Every cell stays
+    canonical, and a pivot test is a test for zero.  Zero cells of the
+    pivot row are skipped.
     """
     K = F.packed
-    p = K.p
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    shifts, mask, nW, low, tail = K.layout(max(min(nrows, ncols) - 1, 0))
-    folds = range(K.folds)
-
-    def canon(v):
-        out = 0
-        for s in shifts:
-            out |= (((v >> s) & mask) % p) << s
-        return out
-
-    def pack(rep):
-        v = 0
-        for x, s in zip(rep, shifts):
-            v |= x << s
-        return v
-
-    def unpack(v):
-        return tuple(((v >> s) & mask) % p for s in shifts)
-
-    M = [[pack(x) for x in row] for row in rows]
+    mul, neg, folds = K.mul, K.neg, K.folds
+    low, nS, tail, m, k, qmask, p = K.low, K.nS, K.tail, K.m, K.k, K.qmask, K.p
+    M = [list(row) for row in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
     pivots, pivvals, swaps = [], [], 0
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            v = canon(M[i][c])
-            M[i][c] = v
-            if v:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if M[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
             swaps += 1
         prow = M[r]
-        pivvals.append(unpack(prow[c]))
-        inv = pack(F._inv_poly(pivvals[-1]))
+        pivvals.append(prow[c])
+        inv = F.inv_rep(prow[c])
         prow[c] = 1
         nonzero = []
         for j in range(c + 1, ncols):
-            x = canon(prow[j])
-            if x:
-                x *= inv
-                for _ in folds:
-                    x = (x & low) + (x >> nW) * tail
-                x = canon(x)
-                nonzero.append((j, x))
-            prow[j] = x
+            if prow[j]:
+                prow[j] = mul(prow[j], inv)
+                nonzero.append((j, prow[j]))
         for i, row in enumerate(M):
             v = row[c]
             if i == r or not v:
                 continue
             row[c] = 0
-            f = 0
-            for s in shifts:
-                f |= ((-((v >> s) & mask)) % p) << s
-            if not f:
-                continue
-            for j, y in nonzero:
+            f = neg(v)
+            for j, y in nonzero:  # the fold of K.mul and K.reduce, inline
                 t = f * y
                 for _ in folds:
-                    t = (t & low) + (t >> nW) * tail
-                row[j] += t
+                    t = (t & low) + (t >> nS) * tail
+                t += row[j]
+                row[j] = t - (((t * m) >> k) & qmask) * p
         pivots.append(c)
         r += 1
-    reduced = [[unpack(v) for v in row] for row in M[:r]]
-    return pivots, reduced, _det_of(F, nrows, ncols, pivvals, swaps)
+    return pivots, M[:r], _det_of(F, nrows, ncols, pivvals, swaps)
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +925,8 @@ def make_field(p: int, layers: Iterable = (1,)):
             if layer == 1:
                 continue
             F = FieldTower(F, smallest_irreducible(F, layer), check=False)
-        else:
-            F = FieldTower(F, layer, check=True)
+        else:  # ints are indices, as in spec strings
+            F = FieldTower(F, [F.index_to_rep(c) if isinstance(c, int) else c for c in layer])
     return F
 
 

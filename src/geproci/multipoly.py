@@ -335,7 +335,7 @@ def directional_derivative(f: HomogeneousForm, point, direction) -> object:
     dc = direction.coords if hasattr(direction, "coords") else list(direction)
     if len(pc) != f.nvars or len(dc) != f.nvars:
         raise DimensionMismatch("coordinate arity mismatch")
-    if _proportional(pc, dc):
+    if proportional(pc, dc):
         raise DependentDirection("direction must be independent of the point")
     return form_value(f, derivative_row(f.ring, pc, dc, list(f.coeffs)))
 
@@ -356,7 +356,9 @@ def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
     return out
 
 
-def _proportional(u, v):
+def proportional(u, v) -> bool:
+    """Whether the coordinate vectors u and v are proportional: every 2×2
+    minor of [u; v] vanishes."""
     n = len(u)
     for i in range(n):
         for j in range(i + 1, n):

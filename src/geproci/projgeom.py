@@ -98,10 +98,10 @@ class ProjectiveLine3:
         if self._points is None:
             f = self.field
             r0, r1 = self.rows
-            pts = [ProjectivePoint(f, r1)]
+            pts = [ProjectivePoint(f, [FieldElement(f, b) for b in r1])]
             for t in f.elements():
                 coords = [
-                    f.add_rep(a, f.mul_rep(t.rep, b)) for a, b in zip(r0, r1)
+                    FieldElement(f, f.add_rep(a, f.mul_rep(t.rep, b))) for a, b in zip(r0, r1)
                 ]
                 pts.append(ProjectivePoint(f, coords))
             self._points = tuple(sorted(pts))
@@ -212,7 +212,7 @@ def enumerate_projective_space(field, n: int, cap: int = DEFAULT_POINT_CAP) -> P
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine3:
     if p == q:
         raise EqualPoints("line through equal points is undefined")
-    return ProjectiveLine3(p.field, [p.reps, q.reps])
+    return ProjectiveLine3(p.field, [p.coords, q.coords])
 
 
 def lines_skew(l1: ProjectiveLine3, l2: ProjectiveLine3) -> bool:
@@ -248,7 +248,7 @@ def all_lines(field) -> list:
                 r0 = fill(base0, free0, v0)
                 for v1 in stack1:
                     r1 = fill(base1, free1, v1)
-                    lines.append(ProjectiveLine3(field, [[e.rep for e in r0], [e.rep for e in r1]]))
+                    lines.append(ProjectiveLine3(field, [r0, r1]))
     return sorted(lines)
 
 

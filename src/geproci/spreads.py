@@ -288,7 +288,10 @@ def search_maximal_partial_spreads(
         expand((), full, full)
     if rng is not None:
         found.sort()  # preorder with increasing indices emits the others sorted
-    spreads = [PartialSpread(field, [lines[i] for i in t], maximal=True) for t in found]
+    # in place, so the index tuples are freed as their spreads are built
+    for k, t in enumerate(found):
+        found[k] = PartialSpread(field, [lines[i] for i in t], maximal=True)
+    spreads = found
     lo, hi = deficiency_window(field.size)
     anomalies = [(S, S.deficiency) for S in spreads
                  if S.deficiency > 0 and not (lo <= S.deficiency <= hi)]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from geproci import core, fatpoints, multipoly, projgeom
-from geproci.fields import extend_field, parse_field_spec
+from geproci.fields import FieldElement, extend_field, parse_field_spec
 from geproci.multipoly import HomogeneousForm, evaluate, scalar_is_zero, ScalarRing
 from geproci.projgeom import (
     PointSet,
@@ -53,7 +53,7 @@ def test_on_line_agrees_with_rank_test(forty_points_q7):
         r0, r1 = ([E.lift_rep(F, c) for c in row] for row in line.rows)
         for _ in range(3):
             s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
-            p = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
+            p = ProjectivePoint(E, [FieldElement(E, E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y)))
                                     for x, y in zip(r0, r1)])
             assert core._on_secant(p, u, v, E) and _rank_on_line(p, line, E)
         for p in Z.points:
@@ -98,7 +98,7 @@ def _pairwise_first_collision(entries):
     imgs = [coords for coords, _ in entries]
     for i in range(len(imgs)):
         for j in range(i + 1, len(imgs)):
-            if core._proj_equal(imgs[i], imgs[j]):
+            if multipoly.proportional(imgs[i], imgs[j]):
                 return i, j
     return None
 
@@ -454,7 +454,7 @@ def test_vanishes_on_factors_matches_the_expanded_product(F3, names):
         # no direction, one along line i, or one across it
         direction = rng.choice([None, _cross(_line_coeffs(factors[i]), vector()), vector()])
         if all(scalar_is_zero(c) for c in coords) or (
-                direction is not None and multipoly._proportional(coords, direction)):
+                direction is not None and multipoly.proportional(coords, direction)):
             continue
         S = core.ProjectedScheme(ring, [(coords, direction)], None)
         expected = _product_vanishes(prod, coords, direction)

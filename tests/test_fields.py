@@ -236,7 +236,7 @@ def _random_matrix(E, rng, nrows, ncols, rank=None):
 
 def _all_max(E):
     """The element whose coordinates are all p - 1, the slot-bound worst case."""
-    return tuple([E.base.p - 1] * E.degree)
+    return E.from_coeffs([E.base.p - 1] * E.degree)
 
 
 @pytest.mark.parametrize("spec", PACKED)
@@ -248,8 +248,51 @@ def test_packed_product_matches_schoolbook(spec):
     pairs += [(E.index_to_rep(rng.randrange(E.size)), E.index_to_rep(rng.randrange(E.size)))
               for _ in range(200)]
     for a, b in pairs:
-        want = E._pad(fields._pmod(B, fields._pmul(B, list(a), list(b)), mod))
-        assert E._mul_poly(a, b) == want
+        want = E.from_coeffs(fields._pmod(B, fields._pmul(B, E.coeffs(a), E.coeffs(b)), mod))
+        assert E.mul_rep(a, b) == want
+
+
+@pytest.mark.parametrize("spec", PACKED)
+def test_packed_reduce_matches_slotwise_mod(spec):
+    K = _packed_field(spec).packed
+    top = (1 << K.W) - 1  # every slot that reduce is given is at most this
+    rng = random.Random(5)
+    cases = [[top] * K.n] + [[rng.randrange(top + 1) for _ in range(K.n)] for _ in range(500)]
+    for slots in cases:
+        assert K.unpack(K.reduce(K.pack(slots))) == [x % K.p for x in slots]
+
+
+@pytest.mark.parametrize("spec", PACKED)
+def test_packed_index_roundtrip(spec):
+    E = _packed_field(spec)
+    rng = random.Random(13)
+    p = E.char
+    for i in [0, 1, p - 1, E.size - 1] + [rng.randrange(E.size) for _ in range(500)]:
+        a = E.index_to_rep(i)
+        assert E.rep_to_index(a) == i
+        assert E.from_coeffs(E.coeffs(a)) == a and all(0 <= c < p for c in E.coeffs(a))
+
+
+@pytest.mark.parametrize("spec", PACKED)
+def test_packed_prime_subfield_elements_hash_alike(spec):
+    E = _packed_field(spec)
+    F = E.base
+    assert E.element(3) == F.element(3) and hash(E.element(3)) == hash(F.element(3))
+    assert len({E.element(3), F.element(3)}) == 1
+    assert E.from_index(F.size) != F.element(0)  # t is not in F_p
+
+
+def test_tower_over_a_packed_layer():
+    E = _packed_field("p=3;ext=20")
+    T = extend_field(E, 2)
+    assert T.packed is None and T.modulus == tuple(smallest_irreducible(E, 2))
+    assert is_irreducible(E, list(T.modulus))
+    assert parse_field_spec(T.spec_string()) == T
+    x = T.from_index(12345 + E.size * 678)
+    assert x * x.inverse() == T.one()
+    y = E.from_index(4242)
+    assert T.element(y) == y and hash(T.element(y)) == hash(y)
+    assert T.element(2) == E.element(2) == parse_field_spec("p=3").element(2)
 
 
 @pytest.mark.parametrize("spec", PACKED)
@@ -470,13 +513,14 @@ def test_large_layer_inverse(spec):
     for _ in range(200):
         a = E.index_to_rep(rng.randrange(1, E.size))
         inv = E.inv_rep(a)
-        assert E._mul_poly(a, inv) == E.one_rep
-        assert E.inv_rep(list(a)) == inv  # list reps are accepted
-        assert E.inv_rep([c + E.base.p for c in a]) == inv  # and unreduced entries
+        assert E.mul_rep(a, inv) == E.one_rep
+        assert E.from_coeffs(E.coeffs(a)) == a
+        unreduced = E.from_coeffs([c + E.base.p for c in E.coeffs(a)])
+        assert unreduced != a and E.inv_rep(unreduced) == inv
     with pytest.raises(ZeroDivisionError):
         E.inv_rep(E.zero_rep)
     with pytest.raises(ZeroDivisionError):
-        E.inv_rep(list(E.zero_rep))
+        E.inv_rep(E.from_coeffs([E.base.p] * E.degree))  # zero, unreduced
 
 
 def test_large_layer_inverse_of_a_non_unit():
@@ -485,11 +529,11 @@ def test_large_layer_inverse_of_a_non_unit():
     m12 = SMALLEST[7, 12]
     R = FieldTower(F, [0] + m12, check=False)
     assert R.size > ZECH_MAX_SIZE
-    for a in (R.index_to_rep(7), R._pad(m12), R._pad([0] + m12[:-1])):
+    for a in (R.index_to_rep(7), R.from_coeffs(m12), R.from_coeffs([0] + m12[:-1])):
         with pytest.raises(ZeroDivisionError):
             R.inv_rep(a)
     a = R.index_to_rep(1 + 7)  # 1 + x is a unit
-    assert R._mul_poly(a, R.inv_rep(a)) == R.one_rep
+    assert R.mul_rep(a, R.inv_rep(a)) == R.one_rep
 
 
 # ---------------------------------------------------------------------------

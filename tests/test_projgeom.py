@@ -67,6 +67,21 @@ def test_line_through_is_order_independent(F2):
         line_through(a, ProjectivePoint(F2, [1, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("spec", ["p=7;ext=12", "p=2;ext=31"])
+def test_line_through_points_of_a_packed_field(spec):
+    # the points' reps are packed ints, which must not be read as integers
+    from geproci.fields import parse_field_spec
+
+    F = parse_field_spec(spec)
+    p = ProjectivePoint(F, [F.from_index(5), 1, 0, 0])
+    q = ProjectivePoint(F, [0, 1, F.from_index(7), 0])
+    s, t = F.from_index(123456), F.from_index(654321)
+    L = line_through(p, q)
+    assert L.contains(p) and L.contains(q)
+    assert L.contains(ProjectivePoint(F, [s * x + t * y for x, y in zip(p.coords, q.coords)]))
+    assert not L.contains(ProjectivePoint(F, [0, 0, 0, 1]))
+
+
 def test_skewness_symmetric_and_meets_self(F2):
     lines = all_lines(F2)
     for L in lines[:8]:
