@@ -14,7 +14,8 @@ Two working modes:
             fraction-free; verdicts are conclusive, except that a
             resultant which vanished at three deterministic
             specializations comes out as a negative without proof.
-  RANDOM  — P sampled from a large extension F_{q^m} with a seed; positive
+  RANDOM  — P sampled from a large extension F_{q^m} with a seed, off
+            every line defined over F_q and so off every secant; positive
             verdicts are probabilistic (bound reported); a negative is
             conclusive only when a curve space is smaller than a complete
             intersection needs (dimensions only grow under specialization).
@@ -29,7 +30,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .fields import FieldElement, extend_field
+from .fields import FieldElement, extend_field, row_reduce
 from .multipoly import (
     CoprimalityWitness,
     EvaluationMatrix,
@@ -94,10 +95,11 @@ class GeneralPoint:
 
     @classmethod
     def random(cls, field, seed: int, avoid: Optional[PointSet] = None) -> "GeneralPoint":
-        """Sample from F_{q^m}, q^m >= 2^31, off every secant of `avoid`.
+        """Sample from F_{q^m}, q^m >= 2^31, off every line defined over F_q.
 
-        Each secant is given by the first two points of its class in
-        `collinear_classes(avoid)`; no line is built.
+        Every secant of a point set of PG(3, q) is such a line, so no two
+        images of any set or scheme over F_q collide.  `avoid` is accepted
+        for older callers and not read.
         """
         m = 1
         while field.size ** m < RANDOM_MIN_FIELD:
@@ -105,43 +107,25 @@ class GeneralPoint:
         E = extend_field(field, m) if m > 1 else field
         ring = ScalarRing(E)
         rng = random.Random(seed)
-        secants = []
-        if avoid is not None:
-            pts = avoid.points
-            secants = [(pts[c[0]], pts[c[1]]) for c in collinear_classes(avoid)]
         for _ in range(1000):
             coords = [E.from_index(rng.randrange(E.size)) for _ in range(3)]
             coords.append(E.one())
-            if any(c.index >= field.size for c in coords[:3]):
-                p = ProjectivePoint(E, coords)
-                if all(not _on_secant(p, u, v, E) for u, v in secants):
-                    return cls("random", ring, coords, m=m, seed=seed)
+            if not _on_rational_line(field, E, [c.rep for c in coords]):
+                return cls("random", ring, coords, m=m, seed=seed)
         raise CoreError("could not sample a general point off all secants")
 
 
-def _on_secant(p: ProjectivePoint, u: ProjectivePoint, v: ProjectivePoint, E) -> bool:
-    """Whether p lies on the line through the distinct points u and v.
+def _on_rational_line(F, E, coords) -> bool:
+    """Whether the point with reps `coords` in E lies on a line over F.
 
-    p is on it iff the four 3×3 minors of [u; v; p] vanish.  Expanded
-    along p's row, a minor sums three products of a coordinate of p with a
-    2×2 minor of [u; v], a scalar of the points' field F.  E is F or a
-    one-layer extension of it, so each product scales the coordinates of
-    an E element over F by a scalar of F: no elimination, no inverse.
+    E is F or a one-layer extension of it.  Writing each coordinate in
+    its F-coefficients gives a 4×m matrix V over F, and the smallest
+    F-subspace whose span over E holds the point is the column span of V.
+    So the point is on a line defined over F iff rank V <= 2 (a rational
+    point, rank 1, lies on many).
     """
-    F = u.field
-    add, sub, mul = F.add_rep, F.sub_rep, F.mul_rep
-    U, V = u.reps, v.reps
-    coords = [(x,) for x in p.reps] if E == F else [E.coeffs(x) for x in p.reps]
-
-    def minor(a, b):
-        return sub(mul(U[a], V[b]), mul(U[b], V[a]))
-
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        a, b, c = minor(j, k), F.neg_rep(minor(i, k)), minor(i, j)
-        for x, y, z in zip(coords[i], coords[j], coords[k]):
-            if not F.rep_is_zero(add(add(mul(x, a), mul(y, b)), mul(z, c))):
-                return False
-    return True
+    rows = [[x] for x in coords] if E == F else [E.coeffs(x) for x in coords]
+    return len(row_reduce(F, rows)[0]) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +606,11 @@ def geproci_check(
     if mode != "random":
         raise CoreError(f"unknown mode {mode!r}")
 
-    avoid = Z.support_points()
     cert = None
     m = None
     for t in range(trials):
-        # off every secant of the support, so no two images collide
-        P = GeneralPoint.random(field, (seed + t) * 1000, avoid=avoid)
+        # off every F_q-line, so off every secant: no two images collide
+        P = GeneralPoint.random(field, (seed + t) * 1000)
         m = P.m
         S = project(Z, P)
         hints = _structural_hints(Z, S, alpha, beta, field)

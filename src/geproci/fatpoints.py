@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import parse_field_spec
 from .multipoly import (
     EvaluationMatrix,
     HomogeneousForm,
@@ -28,6 +27,7 @@ from .projgeom import (
     ProjectivePoint,
     _parse_coord,
     _format_coord,
+    _read_header,
 )
 
 
@@ -127,16 +127,7 @@ def write_scheme(S: FatPointScheme) -> str:
 
 
 def read_scheme(text: str) -> FatPointScheme:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("field:"):
-        raise GeometryError("scheme file must start with a 'field:' header")
-    header = lines[0]
-    # the field spec may itself contain ';', so the dim part is the tail
-    field_part, _, dim_part = header.rpartition(";")
-    field = parse_field_spec(field_part.split(":", 1)[1].strip())
-    if "dim:" not in dim_part:
-        raise GeometryError("header must declare 'dim:'")
-    dim = int(dim_part.split(":", 1)[1].strip())
+    field, dim, body = _read_header(text, "scheme")
 
     def parse_point(tok):
         coords = [_parse_coord(field, t) for t in tok.split(",")]
@@ -146,12 +137,11 @@ def read_scheme(text: str) -> FatPointScheme:
 
     simple = []
     doubled = []
-    for ln in lines[1:]:
+    for ln in body:
         if ln.startswith("simple:"):
             simple.append(parse_point(ln.split(":", 1)[1].strip()))
         elif ln.startswith("double:"):
-            body = ln.split(":", 1)[1]
-            left, _, right = body.partition("|")
+            left, _, right = ln.split(":", 1)[1].partition("|")
             if "toward:" not in right:
                 raise GeometryError("doubled point needs a '| toward:' part")
             A = parse_point(left.strip())

@@ -342,18 +342,19 @@ def directional_derivative(f: HomogeneousForm, point, direction) -> object:
 
 def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
     """f(u·A + s·B), a binary form in (u, s) of degree f.degree over the
-    scalars of f; A and B are coordinate rows of field elements."""
+    scalars of f; A and B are coordinate rows of field elements.  The
+    powers of the line's coordinate forms are taken over the line's own
+    field, and f's coefficients enter only in the sum."""
     ring = f.ring
     if f.degree == 0:  # a constant restricts to itself
         return HomogeneousForm(ring, 2, 0, {(0, 0): c for c in f.coeffs.values()})
-    coords = [
-        HomogeneousForm(ring, 2, 1, {(1, 0): ring.const(a), (0, 1): ring.const(b)})
-        for a, b in zip(A, B)
-    ]
-    out = HomogeneousForm(ring, 2, f.degree, {})
-    for c, r in zip(f.coeffs.values(), evaluation_row(ring, coords, list(f.coeffs))):
-        out = out + r.scale(c)
-    return out
+    line_ring = ScalarRing(A[0].field)
+    coords = [HomogeneousForm(line_ring, 2, 1, {(1, 0): a, (0, 1): b}) for a, b in zip(A, B)]
+    out: dict = {}
+    for c, r in zip(f.coeffs.values(), evaluation_row(line_ring, coords, list(f.coeffs))):
+        for e, v in r.coeffs.items():
+            out[e] = out[e] + c * v if e in out else c * v
+    return HomogeneousForm(ring, 2, f.degree, out)
 
 
 def proportional(u, v) -> bool:

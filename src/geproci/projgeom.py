@@ -388,19 +388,24 @@ def _parse_coord(field, token: str):
     return field.from_index(int(token))
 
 
-def read_point_set(text: str) -> PointSet:
+def _read_header(text: str, kind: str):
+    """(field, dim, body) of a `field: ...; dim: ...` file: the header's
+    field and dimension, and the other non-blank, non-comment lines."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("field:"):
-        raise GeometryError("point-set file must start with a 'field:' header")
-    header = lines[0]
+        raise GeometryError(f"{kind} file must start with a 'field:' header")
     # the field spec may itself contain ';', so the dim part is the tail
-    field_part, _, dim_part = header.rpartition(";")
+    field_part, _, dim_part = lines[0].rpartition(";")
     field = parse_field_spec(field_part.split(":", 1)[1].strip())
     if "dim:" not in dim_part:
         raise GeometryError("header must declare 'dim:'")
-    dim = int(dim_part.split(":", 1)[1].strip())
+    return field, int(dim_part.split(":", 1)[1].strip()), lines[1:]
+
+
+def read_point_set(text: str) -> PointSet:
+    field, dim, body = _read_header(text, "point-set")
     pts = []
-    for ln in lines[1:]:
+    for ln in body:
         coords = [_parse_coord(field, tok) for tok in ln.split(",")]
         if len(coords) != dim + 1:
             raise GeometryError(f"expected {dim + 1} coordinates, got {len(coords)}")

@@ -23,7 +23,6 @@ from .projgeom import (
     enumerate_projective_space,
     exact_cover,
     line_through,
-    lines_skew,
     _format_coord,
     _parse_coord,
 )
@@ -72,12 +71,7 @@ class PartialSpread:
         return SpreadPointCover(self)
 
     def is_pairwise_skew(self) -> bool:
-        ls = self.lines
-        return all(
-            lines_skew(ls[i], ls[j])
-            for i in range(len(ls))
-            for j in range(i + 1, len(ls))
-        )
+        return not _meeting_pairs(self.lines)
 
     def check_maximality(self) -> bool:
         """Whether no line outside the set is skew to all its members.
@@ -131,21 +125,14 @@ def build_regular_spread(field) -> PartialSpread:
 
     z = field.zero()
     o = field.one()
+    even = field.char == 2
+    r = find_artin_schreier_r(field) if even else find_nonsquare(field)
     lines = [line_at_infinity(field)]
-    if field.char == 2:
-        r = find_artin_schreier_r(field)
-        for a in field.elements():
-            for b in field.elements():
-                p1 = ProjectivePoint(field, [o, z, a, b])
-                p2 = ProjectivePoint(field, [z, o, b * r, a + b])
-                lines.append(line_through(p1, p2))
-    else:
-        r = find_nonsquare(field)
-        for a in field.elements():
-            for b in field.elements():
-                p1 = ProjectivePoint(field, [o, z, a, b])
-                p2 = ProjectivePoint(field, [z, o, r * b, a])
-                lines.append(line_through(p1, p2))
+    for a in field.elements():
+        for b in field.elements():
+            p1 = ProjectivePoint(field, [o, z, a, b])
+            p2 = ProjectivePoint(field, [z, o, b * r, a + b if even else a])
+            lines.append(line_through(p1, p2))
     return PartialSpread(field, lines)
 
 
@@ -171,11 +158,7 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
     """Pairwise-skew and cover check; uncovered points only matter for
     deficiency-0 inputs (a valid partial spread never covers everything)."""
     ls = S.lines
-    violations = []
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if not lines_skew(ls[i], ls[j]):
-                violations.append((ls[i], ls[j]))
+    violations = [(ls[i], ls[j]) for i, j in _meeting_pairs(ls)]
     seen: dict = {}
     doubly = []
     for line in ls:
@@ -193,6 +176,25 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
         uncovered=uncovered,
         doubly_covered=doubly,
     )
+
+
+def _meeting_pairs(lines) -> list:
+    """The pairs (i, j), i < j, of `lines` that meet, in ascending order.
+
+    Two lines of PG(3,q) meet exactly when they share a rational point, so
+    each line ORs together the masks of the lines through its points; a
+    repeated line meets its copies."""
+    through: dict = {}  # point -> bitmask of the lines through it
+    for i, line in enumerate(lines):
+        for p in line.points():
+            through[p] = through.get(p, 0) | 1 << i
+    pairs = []
+    for i, line in enumerate(lines):
+        meet = 0
+        for p in line.points():
+            meet |= through[p]
+        pairs += [(i, j) for j in _bit_indices(meet >> (i + 1) << (i + 1))]
+    return pairs
 
 
 def complement_points(S: PartialSpread) -> PointSet:

@@ -27,7 +27,7 @@ def test_generic_point_shape(F2):
 
 
 def test_random_point_avoids_secants(F2, P3F2):
-    P = core.GeneralPoint.random(F2, seed=0, avoid=P3F2)
+    P = core.GeneralPoint.random(F2, seed=0)
     assert P.m >= 31  # 2^m >= 2^31
     S = core.project(P3F2, P)  # would raise CollisionDetected on a secant
     assert S.length == 15
@@ -38,42 +38,82 @@ def _rank_on_line(p, line, E):
     return matrix_rank(E, rows + [list(p.reps)]) == 2
 
 
-def test_on_line_agrees_with_rank_test(forty_points_q7):
-    Z = forty_points_q7
-    F = Z.field
-    E = extend_field(F, 12)
-    secants = collinear_subsets(Z, 2)
-    rng = random.Random(5)
-    for _ in range(3):
-        p = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
-        for line, (u, v, *_) in secants:
-            assert core._on_secant(p, u, v, E) == _rank_on_line(p, line, E)
-    # points built on a secant are on it; in E and in the line's own field
-    for line, (u, v, *_) in secants[::10]:
-        r0, r1 = ([E.lift_rep(F, c) for c in row] for row in line.rows)
-        for _ in range(3):
-            s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
-            p = ProjectivePoint(E, [FieldElement(E, E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y)))
-                                    for x, y in zip(r0, r1)])
-            assert core._on_secant(p, u, v, E) and _rank_on_line(p, line, E)
-        for p in Z.points:
-            assert core._on_secant(p, u, v, F) == _rank_on_line(p, line, F)
-        assert sum(core._on_secant(p, u, v, F) for p in line.points()) == F.size + 1
+def _point_on(line, E, rng):
+    """A point of E-coordinates on the E-span of an F-rational line."""
+    r0, r1 = ([E.lift_rep(line.field, c) for c in row] for row in line.rows)
+    s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
+    return ProjectivePoint(E, [FieldElement(E, E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y)))
+                              for x, y in zip(r0, r1)])
 
 
-def test_on_line_over_a_tower_base(F4):
-    Z = PointSet(F4, list(enumerate_projective_space(F4, 3))[:12], 3)
-    E = extend_field(F4, 3)
-    rng = random.Random(2)
-    for line, (u, v, *_) in collinear_subsets(Z, 2):
-        r0, r1 = ([E.lift_rep(F4, c) for c in row] for row in line.rows)
-        s, t = (E.index_to_rep(rng.randrange(1, E.size)) for _ in range(2))
-        on = ProjectivePoint(E, [E.add_rep(E.mul_rep(s, x), E.mul_rep(t, y))
-                                 for x, y in zip(r0, r1)])
-        off = ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
-        for p in (on, off):
-            assert core._on_secant(p, u, v, E) == _rank_on_line(p, line, E)
-        assert core._on_secant(on, u, v, E)
+@pytest.mark.parametrize("spec,m,seed", [("p=7", 12, 5), ("p=2;ext=2", 3, 2)])
+def test_on_rational_line_agrees_with_rank_test(forty_points_q7, spec, m, seed):
+    F = parse_field_spec(spec)
+    E = extend_field(F, m)
+    lines = all_lines(F)
+    rng = random.Random(seed)
+    Z = forty_points_q7 if F.size == 7 else PointSet(F, list(enumerate_projective_space(F, 3))[:12], 3)
+    # points built on a secant of Z are on a rational line; so is each
+    # point of Z, in E and in its own field
+    for line, _ in collinear_subsets(Z, 2)[::7]:
+        p = _point_on(line, E, rng)
+        assert core._on_rational_line(F, E, p.reps) and _rank_on_line(p, line, E)
+    for p in Z.points[::5]:
+        assert core._on_rational_line(F, F, p.reps)
+        assert core._on_rational_line(F, E, [E.lift_rep(F, x) for x in p.reps])
+    # random points, and points on random rational lines, against the
+    # rank oracle over every line of PG(3, q)
+    points = [ProjectivePoint(E, [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [1])
+              for _ in range(3)]
+    points += [_point_on(rng.choice(lines), E, rng) for _ in range(3)]
+    for p in points:
+        assert core._on_rational_line(F, E, p.reps) == any(_rank_on_line(p, L, E) for L in lines)
+    assert [core._on_rational_line(F, E, p.reps) for p in points] == [False] * 3 + [True] * 3
+
+
+def _secant_sampler_center(field, seed, avoid):
+    """Reference secant sampler: the index coordinates of the first
+    candidate with a coordinate off F_q and on no secant of `avoid`, each
+    secant tested by the four 3×3 minors of its first two points and the
+    candidate."""
+    m = 1
+    while field.size ** m < core.RANDOM_MIN_FIELD:
+        m += 1
+    E = extend_field(field, m)
+    rng = random.Random(seed)
+    pts = avoid.points
+    secants = [(pts[c[0]].reps, pts[c[1]].reps) for c in projgeom.collinear_classes(avoid)]
+    F = field
+    add, sub, mul = F.add_rep, F.sub_rep, F.mul_rep
+
+    def on_secant(coords, U, V):
+        def minor(a, b):
+            return sub(mul(U[a], V[b]), mul(U[b], V[a]))
+
+        for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+            a, b, c = minor(j, k), F.neg_rep(minor(i, k)), minor(i, j)
+            for x, y, z in zip(coords[i], coords[j], coords[k]):
+                if not F.rep_is_zero(add(add(mul(x, a), mul(y, b)), mul(z, c))):
+                    return False
+        return True
+
+    for _ in range(1000):
+        coords = [E.from_index(rng.randrange(E.size)) for _ in range(3)] + [E.one()]
+        if any(c.index >= field.size for c in coords[:3]):
+            cs = [E.coeffs(c.rep) for c in coords]
+            if not any(on_secant(cs, U, V) for U, V in secants):
+                return [c.index for c in coords]
+    raise AssertionError("the secant sampler found no center")
+
+
+def test_random_center_matches_the_secant_sampler(forty_points_q7):
+    sets = [forty_points_q7, fatpoints.example_concurrent_nine(parse_field_spec("p=2")).support_points()]
+    sets += [PointSet(F, enumerate_projective_space(F, 3), 3)
+             for F in map(parse_field_spec, ("p=2", "p=3", "p=2;ext=2", "p=5"))]
+    for Z in sets:
+        for seed in sorted({*range(40), *range(0, 60000, 1000)}):
+            P = core.GeneralPoint.random(Z.field, seed)
+            assert [c.index for c in P.coords] == _secant_sampler_center(Z.field, seed, Z)
 
 
 def test_projection_images_and_collision(F2, P3F2):
@@ -106,7 +146,7 @@ def _pairwise_first_collision(entries):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_projection_collision_on_a_secant(forty_points_q7, seed):
     Z = forty_points_q7
-    good = core.GeneralPoint.random(Z.field, seed=seed, avoid=Z)
+    good = core.GeneralPoint.random(Z.field, seed=seed)
     E = good.ring.field
     S = core.project(Z, good)  # off every secant: no collision
     assert S.length == 40 and _pairwise_first_collision(S.entries) is None
@@ -149,11 +189,11 @@ def test_random_projection_names_the_first_collision(P3F3, center):
         core.project(P3F3, P)
 
 
-def test_random_point_sampling_can_fail(F2, P3F2, monkeypatch):
+def test_random_point_sampling_can_fail(F2, monkeypatch):
     # with no extension every candidate lies in F_q, so none is accepted
     monkeypatch.setattr(core, "RANDOM_MIN_FIELD", 2)
     with pytest.raises(core.CoreError, match="could not sample a general point off all secants"):
-        core.GeneralPoint.random(F2, seed=0, avoid=P3F2)
+        core.GeneralPoint.random(F2, seed=0)
 
 
 @pytest.mark.parametrize("spec,q", [("p=2", 2), ("p=3", 3), ("p=2;ext=2", 4)])

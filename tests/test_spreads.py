@@ -108,6 +108,23 @@ def test_partial_spread_rejects_non_skew(F2):
     assert not sp.is_pairwise_skew()
 
 
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2", "p=5"])
+def test_skew_violations_match_the_rank_test_pairs(spec):
+    F = parse_field_spec(spec)
+    lines = all_lines(F)
+    rng = random.Random(F.size)
+    sets = [build_regular_spread(F).lines]
+    # seeded sets drawn with replacement, so some repeat a line
+    sets += [[rng.choice(lines) for _ in range(rng.randrange(1, 9))] for _ in range(30)]
+    for members in sets:
+        S = PartialSpread(F, members)
+        ls = S.lines
+        meeting = [(ls[i], ls[j]) for i in range(len(ls)) for j in range(i + 1, len(ls))
+                   if not lines_skew(ls[i], ls[j])]
+        assert verify_spread(S).skew_violations == meeting
+        assert S.is_pairwise_skew() == (not meeting)
+
+
 def test_partition_into_lines_full_space(F2, P3F2):
     part = partition_into_lines(P3F2)
     assert not isinstance(part, NoPartition)
