@@ -5,8 +5,13 @@ Scalars are either :class:`FieldElement` (a finite field F_q) or
 :class:`MultiPoly` (the polynomial ring F_q[a,b,c] of generic-point mode).
 One evaluator, :func:`evaluation_row`, gives the values of a list of
 monomials at a point; the value of a form, its derivative along a
-direction, its restriction to a line and every condition row are read
-from it.  :func:`condition_matrix` builds the condition matrix of
+direction and every condition row are read from it.  Over a finite field
+it multiplies field reps and wraps each value once.
+:func:`restrict_to_line` substitutes the line's linear forms instead: it
+expands each power (A_i·u + B_i·s)^e by the binomial theorem, dropping the
+binomials that vanish mod p, and adds each of the form's scalars into one
+sum per coefficient of the binary result, all on field reps.
+:func:`condition_matrix` builds the condition matrix of
 (point, direction-or-None) entries: a point imposes its value, and a
 direction the derivative along it.  Finite-field matrices, condition
 matrices and Sylvester matrices alike, go through
@@ -19,7 +24,9 @@ normalized.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
@@ -259,25 +266,50 @@ def _scalar_str(c) -> str:
 # ---------------------------------------------------------------------------
 # evaluation and derivatives
 
+def _common_field(fields):
+    """The largest of `fields`, the one the others lift into (as in
+    FieldElement arithmetic)."""
+    return max(fields, key=lambda F: F.size)
+
+
+def _reps_in(E, x):
+    """The rep in E of a field element x of a subfield of E; for a
+    polynomial x, its dict of term reps."""
+    F = x.field
+    if isinstance(x, MultiPoly):
+        return x.terms if F is E else {k: E.lift_rep(F, t) for k, t in x.terms.items()}
+    return x.rep if F is E else E.lift_rep(F, x.rep)
+
+
 def evaluation_row(ring: ScalarRing, coords, monos) -> list:
     """The values of the monomials `monos` at `coords`, from one table of
     coordinate powers up to the largest degree among them; a monomial of
-    degree 0 has the value 1.  Every value of a form is read from here."""
+    degree 0 has the value 1.  Every value of a form at a point is read
+    from here.  Over a finite field the products run on the reps of the
+    larger of ring.field and the coordinates' field, and each value is
+    wrapped once."""
     degree = max(map(sum, monos), default=0)
+    if ring.finite:
+        E = _common_field([ring.field, *(c.field for c in coords)])
+        coords = [_reps_in(E, c) for c in coords]
+        mul, one = E.mul_rep, E.one_rep
+    else:
+        mul, one = operator.mul, ring.one()
     pows = []
     for c in coords:
         powers = [None, c]  # index 0 is never read: exponent 0 is skipped
         for _ in range(2, degree + 1):
-            powers.append(powers[-1] * c)
+            powers.append(mul(powers[-1], c))
         pows.append(powers)
-    one = ring.one()
     row = []
     for exps in monos:
         term = None
         for i, e in enumerate(exps):
             if e:
-                term = pows[i][e] if term is None else term * pows[i][e]
+                term = pows[i][e] if term is None else mul(term, pows[i][e])
         row.append(one if term is None else term)
+    if ring.finite:
+        return [FieldElement(E, v) for v in row]
     return row
 
 
@@ -340,21 +372,70 @@ def directional_derivative(f: HomogeneousForm, point, direction) -> object:
     return form_value(f, derivative_row(f.ring, pc, dc, list(f.coeffs)))
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_row(p: int, e: int) -> tuple:
+    """The pairs (j, C(e, j) mod p) with a nonzero binomial, j = 0..e."""
+    return tuple((j, b) for j in range(e + 1) if (b := math.comb(e, j) % p))
+
+
+def _int_rep(F, k: int):
+    """The rep of the integer k, that is of k mod p, in the field F."""
+    return k % F.p if F.base is None else F.from_coeffs([_int_rep(F.base, k)])
+
+
 def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
-    """f(u·A + s·B), a binary form in (u, s) of degree f.degree over the
-    scalars of f; A and B are coordinate rows of field elements.  The
-    powers of the line's coordinate forms are taken over the line's own
-    field, and f's coefficients enter only in the sum."""
+    """f(u·A + s·B), a binary form in (u, s) of degree d = f.degree over the
+    scalars of f; A and B are coordinate rows of field elements.
+
+    By the binomial theorem the u^(e-j)·s^j coefficient of
+    (A_i·u + B_i·s)^e is C(e, j)·A_i^(e-j)·B_i^j; a term with C(e, j) ≡ 0
+    mod p is dropped, so a power e = p^k has two terms.  A monomial of f
+    restricts to the sparse product of its powers, and each scalar of f is
+    added into one sum per output coefficient u^(d-j)·s^j, a dict of term
+    reps (a field scalar is the constant term).  All of it runs on the reps
+    of the larger of the line's field and the scalars' field, into which
+    the smaller one is lifted."""
     ring = f.ring
-    if f.degree == 0:  # a constant restricts to itself
-        return HomogeneousForm(ring, 2, 0, {(0, 0): c for c in f.coeffs.values()})
-    line_ring = ScalarRing(A[0].field)
-    coords = [HomogeneousForm(line_ring, 2, 1, {(1, 0): a, (0, 1): b}) for a, b in zip(A, B)]
+    d = f.degree
+    E = _common_field([A[0].field, *(c.field for c in f.coeffs.values())])
+    mul, add, is0, one = E.mul_rep, E.add_rep, E.rep_is_zero, E.one_rep
+    line = [(_reps_in(E, a), _reps_in(E, b)) for a, b in zip(A, B)]
+    powers: dict = {}  # (i, e) -> nonzero terms (j, rep) of (A_i·u + B_i·s)^e
+    acc = [{} for _ in range(d + 1)]
+    for exps, c in f.coeffs.items():
+        r = [(0, one)]
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            if (i, e) not in powers:
+                (a, b), pa, pb = line[i], [one], [one]
+                for _ in range(e):
+                    pa.append(mul(pa[-1], a))
+                    pb.append(mul(pb[-1], b))
+                powers[(i, e)] = [
+                    (j, v if k == 1 else mul(v, _int_rep(E, k)))
+                    for j, k in _binomial_row(E.char, e)
+                    if not is0(v := mul(pa[e - j], pb[j]))
+                ]
+            prod: dict = {}
+            for j1, v1 in r:
+                for j2, v2 in powers[(i, e)]:
+                    v = mul(v1, v2)
+                    prod[j1 + j2] = add(prod[j1 + j2], v) if j1 + j2 in prod else v
+            r = list(prod.items())
+        c = _reps_in(E, c)
+        terms = {0: c} if ring.finite else c
+        for j, v in r:
+            s = acc[j]
+            for k, t in terms.items():
+                t = mul(t, v)
+                s[k] = add(s[k], t) if k in s else t
     out: dict = {}
-    for c, r in zip(f.coeffs.values(), evaluation_row(line_ring, coords, list(f.coeffs))):
-        for e, v in r.coeffs.items():
-            out[e] = out[e] + c * v if e in out else c * v
-    return HomogeneousForm(ring, 2, f.degree, out)
+    for j, s in enumerate(acc):
+        s = {k: t for k, t in s.items() if not is0(t)}
+        if s:
+            out[(d - j, j)] = FieldElement(E, s[0]) if ring.finite else MultiPoly(E, ring.names, s)
+    return HomogeneousForm(ring, 2, d, out)
 
 
 def proportional(u, v) -> bool:
@@ -610,8 +691,8 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
             row[i + j] = c
         rows.append(row)
     # a shear or test point may lie in an extension of ring.field
-    E = max((c.field for c in a + b), key=lambda F: F.size)
-    reps = [[E.lift_rep(c.field, c.rep) for c in row] for row in rows]
+    E = _common_field(c.field for c in a + b)
+    reps = [[_reps_in(E, c) for c in row] for row in rows]
     return FieldElement(E, row_reduce(E, reps)[2])
 
 
@@ -685,7 +766,11 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
     # one scalar pool for shears and resultant test points, so everything
     # lives in a single common extension
     pool = ring.distinct_scalars(max(3, D + 1))
-    test_points = pool[: D + 1]
+    # any D + 1 distinct points decide a degree-D binary form, so their
+    # order changes only how many determinants are taken; the first
+    # scalars of the pool are often roots (every rational point of Z is
+    # one), so the test points are tried from the top
+    test_points = pool[D::-1]
     candidates = [(var, None) for var in range(3)]
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     # simultaneous shears x_j -> x_j + t_j * x_var for both other variables;

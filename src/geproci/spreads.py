@@ -167,8 +167,11 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
             if k in seen and seen[k] is not line:
                 doubly.append(p)
             seen[k] = line
-    space = enumerate_projective_space(S.field, 3)
-    uncovered = [p for p in space.points if p.key() not in seen]
+    uncovered = []
+    q = S.field.size
+    if len(seen) < q ** 3 + q ** 2 + q + 1:  # some point of PG(3,q) is missing
+        space = enumerate_projective_space(S.field, 3)
+        uncovered = [p for p in space.points if p.key() not in seen]
     return SpreadReport(
         size=len(ls),
         deficiency=S.deficiency,

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from geproci import core, fatpoints, multipoly, projgeom
+from geproci.cli import fixture_text
 from geproci.fields import FieldElement, extend_field, parse_field_spec
 from geproci.multipoly import HomogeneousForm, evaluate, scalar_is_zero, ScalarRing
 from geproci.projgeom import (
@@ -229,7 +230,8 @@ def test_transversality_tests_the_restriction_in_any_degree(F2):
     assert len(core.cone_line_transversality(constant.scale(F2.zero()), F2).violations) == 35
 
 
-@pytest.mark.parametrize("spec,q,nplane", [("p=2", 2, 7), ("p=3", 3, 13), ("p=2;ext=2", 4, 21)])
+@pytest.mark.parametrize("spec,q,nplane", [("p=2", 2, 7), ("p=3", 3, 13), ("p=2;ext=2", 4, 21),
+                                           ("p=5", 5, 31)])
 def test_transversality_flags_the_lines_of_the_plane_x_0(spec, q, nplane):
     F = parse_field_spec(spec)
     form = HomogeneousForm(ScalarRing(F), 4, q + 1, {(q + 1, 0, 0, 0): F.one()})
@@ -238,6 +240,15 @@ def test_transversality_flags_the_lines_of_the_plane_x_0(spec, q, nplane):
     in_plane = [L for L in all_lines(F) if all(F.rep_is_zero(row[0]) for row in L.rows)]
     assert report.violations == in_plane
     assert len(in_plane) == q * q + q + 1 == nplane
+
+
+def test_frobenius_cone_is_transversal_at_q5(F5):
+    # the cone's monomials are x_k x_l^5, and C(5, j) vanishes mod 5 for
+    # 0 < j < 5, so each fifth power restricts to two terms; no line of
+    # PG(3,5) lies on the cone
+    cone = core.frobenius_cone(F5, core.GeneralPoint.generic(F5))
+    report = core.cone_line_transversality(cone, F5)
+    assert (report.total, len(report.violations)) == (806, 0)
 
 
 def test_collinear_classes_are_computed_once_per_set(monkeypatch, forty_points_q7):
@@ -373,6 +384,39 @@ def test_coprime_certificate_shears_only_the_usable_candidate(monkeypatch, forty
     assert len(calls) == 4
     witness = v.certificate.coprimality
     assert (witness.variable, witness.shear) == ("x", ("x", "0", "7"))
+
+
+# the generic checks of the fixtures, with the shear of their witness
+_GENERIC_CHECKS = {
+    "PG(3,2)": (lambda get: core.geproci_check(get("P3F2"), 3, 5, mode="generic"), "2"),
+    "PG(3,3)": (lambda get: core.geproci_check(get("P3F3"), 4, 10, mode="generic"), "3"),
+    "mps-q3": (lambda get: core.geproci_check(complement_points(get("mps7_q3")), 3, 4,
+                                              mode="generic"), "3"),
+    "concurrent-nine": (lambda get: fatpoints.scheme_geproci_check(
+        fatpoints.read_scheme(fixture_text("concurrent-nine-q2.scheme")), 3, 3,
+        mode="generic"), "1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GENERIC_CHECKS))
+def test_resultant_test_points_from_the_top_of_the_pool(monkeypatch, request, name):
+    # the first scalars of the pool are roots of the sheared resultant on
+    # these sets; from the top, the first test point decides, and the
+    # witness (elimination variable and shear) is the one of index order
+    check, t2 = _GENERIC_CHECKS[name]
+    calls = []
+    resultant = multipoly._univariate_resultant
+
+    def counting(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(multipoly, "_univariate_resultant", counting)
+    v = check(request.getfixturevalue)
+    assert v.geproci
+    witness = v.certificate.coprimality
+    assert (witness.variable, witness.shear) == ("x", ("x", "0", t2))
+    assert len(calls) == 1
 
 
 def test_random_mode_agrees_with_generic(P3F2):

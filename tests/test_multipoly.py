@@ -1,10 +1,12 @@
 """Forms, evaluation/derivative conditions, kernels, coprimality."""
+import functools
 import random
 
 import pytest
 import sympy
 
-from geproci.fields import MultiPoly, parse_field_spec
+from geproci import core
+from geproci.fields import FieldElement, MultiPoly, extend_field, parse_field_spec
 from geproci.multipoly import (
     CommonFactor,
     CoprimalityWitness,
@@ -18,6 +20,7 @@ from geproci.multipoly import (
     derivative_row,
     directional_derivative,
     evaluate,
+    evaluation_row,
     hilbert_value,
     kernel_of_conditions,
     monomial_count,
@@ -25,7 +28,7 @@ from geproci.multipoly import (
     restrict_to_line,
     scalar_is_zero,
 )
-from geproci.projgeom import PointSet, enumerate_projective_space
+from geproci.projgeom import PointSet, all_lines, enumerate_projective_space
 
 
 def _form(ring, nvars, degree, coeff_map):
@@ -240,6 +243,131 @@ def test_evaluation_layer_matches_sympy(spec, names):
         u_, s_ = _US
         on_line = {x: _sym(a) * u_ + _sym(b) * s_ for x, a, b in zip(_XYZ, A, B)}
         assert _same(_sym_form(g, _US), f_sym.subs(on_line, simultaneous=True), p)
+
+
+# ---------------------------------------------------------------------------
+# restriction to a line against the product-based expansion
+
+def _restrict_by_products(f, A, B):
+    """f(u·A + s·B) by multiplying binary line forms over the line's field,
+    then adding c·v for every scalar c of f and coefficient v of its
+    monomial's restriction."""
+    line_ring = ScalarRing(A[0].field)
+    coords = [_form(line_ring, 2, 1, {(1, 0): a, (0, 1): b}) for a, b in zip(A, B)]
+    out: dict = {}
+    for exps, c in f.coeffs.items():
+        r = _form(line_ring, 2, 0, {(0, 0): line_ring.one()})
+        for x, e in zip(coords, exps):
+            for _ in range(e):
+                r = r * x
+        for e, v in r.coeffs.items():
+            out[e] = out[e] + c * v if e in out else c * v
+    return HomogeneousForm(f.ring, 2, f.degree, out)
+
+
+def _random_poly(ring, rng):
+    """A polynomial of F_q[a,b,c] with up to three terms of degree <= 3."""
+    F = ring.field
+    a, b, c = ring.gens()
+    total = ring.zero()
+    for _ in range(rng.randrange(1, 4)):
+        m = ring.one()
+        for g in (a, b, c):
+            m = m * g ** rng.randrange(2)
+        total = total + m * F.from_index(rng.randrange(1, F.size))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _lines_of(F):
+    return all_lines(F)
+
+
+def _random_lines(F, rng, n, rational=True):
+    """n coordinate rows (A, B) over F, each with one coordinate zero in
+    both rows, after n lines of PG(3,q) if `rational`."""
+    out = []
+    if rational:
+        out += [tuple([FieldElement(F, c) for c in row] for row in L.rows)
+                for L in rng.sample(_lines_of(F), n)]
+    for _ in range(n):
+        A = [F.from_index(rng.randrange(F.size)) for _ in range(4)]
+        B = [F.from_index(rng.randrange(F.size)) for _ in range(4)]
+        i = rng.randrange(4)
+        A[i], B[i] = F.zero(), F.zero()
+        out.append((A, B))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2"])
+def test_restrict_to_line_matches_the_product_expansion(spec):
+    # degrees below p and at or above it (where binomials vanish mod p);
+    # finite scalars in F, in F_{q^2} over a line of F (a line field smaller
+    # than the scalars'), and in F over a line of F_{q^2}; polynomial
+    # scalars of F[a,b,c] over lines of F and of F_{q^2}, and of
+    # F_{q^2}[a,b,c] over lines of F
+    F = parse_field_spec(spec)
+    E = extend_field(F, 2)
+    p, q = F.char, F.size
+    rng = random.Random(q)
+    cases = [
+        (ScalarRing(F), F), (ScalarRing(E), F), (ScalarRing(F), E),
+        (ScalarRing(F, ("a", "b", "c")), F), (ScalarRing(F, ("a", "b", "c")), E),
+        (ScalarRing(E, ("a", "b", "c")), F),
+    ]
+    for ring, L in cases:
+        for d in sorted({0, 1, 2, p - 1, p, p + 1, q, q + 1}):
+            monos = monomials(4, d)
+            for A, B in _random_lines(L, rng, 3, rational=L is F):
+                chosen = rng.sample(monos, min(len(monos), 6))
+                if ring.finite:
+                    coeffs = {e: ring.field.from_index(rng.randrange(1, ring.field.size))
+                              for e in chosen}
+                else:
+                    coeffs = {e: _random_poly(ring, rng) for e in chosen}
+                f = HomogeneousForm(ring, 4, d, coeffs)
+                got = restrict_to_line(f, A, B)
+                assert (got.nvars, got.degree) == (2, d)
+                want = f
+                if not ring.finite and L is E:
+                    # a polynomial times an element lifts it into the
+                    # polynomial's field, so the oracle needs E[a,b,c]
+                    want = f.map_coefficients(lambda c: MultiPoly(
+                        E, c.names, {k: E.lift_rep(F, v) for k, v in c.terms.items()}))
+                assert got == _restrict_by_products(want, A, B)
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2"])
+def test_restrict_the_frobenius_cone_matches_the_product_expansion(spec):
+    # the generic cone's scalars are minors in F_q[a,b,c]; its monomials
+    # x_k x_l^q restrict through two-term powers
+    F = parse_field_spec(spec)
+    cone = core.frobenius_cone(F, core.GeneralPoint.generic(F))
+    rng = random.Random(F.size)
+    for A, B in _random_lines(F, rng, 12):
+        assert restrict_to_line(cone, A, B) == _restrict_by_products(cone, A, B)
+
+
+@pytest.mark.parametrize("spec", ["p=3", "p=7", "p=2;ext=2"])
+def test_evaluation_row_on_reps_matches_element_products(spec):
+    # coordinates in F, and in an extension of F, against products of
+    # FieldElements; the values live in the larger field
+    F = parse_field_spec(spec)
+    rng = random.Random(F.size)
+    ring = ScalarRing(F)
+    for E in (F, extend_field(F, 3)):
+        for d in (0, 1, 2, 5):
+            monos = monomials(4, d) + monomials(4, 1)
+            for _ in range(4):
+                coords = [E.from_index(rng.randrange(E.size)) for _ in range(4)]
+                coords[rng.randrange(4)] = F.from_index(rng.randrange(F.size))
+                row = evaluation_row(ring, coords, monos)
+                for exps, v in zip(monos, row):
+                    want = F.one()
+                    for c, e in zip(coords, exps):
+                        want = want * c ** e
+                    assert isinstance(v, FieldElement) and v.field == E
+                    assert v == want
 
 
 def test_form_serialize_roundtrip_text(F3):

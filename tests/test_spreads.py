@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from geproci import spreads
 from geproci.fields import parse_field_spec
 from geproci.projgeom import PointSet, all_lines, enumerate_projective_space, lines_skew
 from geproci.spreads import (
@@ -123,6 +124,28 @@ def test_skew_violations_match_the_rank_test_pairs(spec):
                    if not lines_skew(ls[i], ls[j])]
         assert verify_spread(S).skew_violations == meeting
         assert S.is_pairwise_skew() == (not meeting)
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2"])
+def test_uncovered_points_match_the_enumeration(monkeypatch, spec):
+    # a regular spread covers every point, so PG(3,q) is not enumerated;
+    # partial spreads and sets with repeated lines list the points that the
+    # full enumeration finds uncovered, in its order
+    F = parse_field_spec(spec)
+    space = enumerate_projective_space(F, 3)
+    regular = build_regular_spread(F).lines
+    lines = all_lines(F)
+    rng = random.Random(F.size)
+    partial = [regular[:k] for k in (0, 1, len(regular) - 1)]
+    partial += [[rng.choice(lines) for _ in range(rng.randrange(1, 9))] for _ in range(10)]
+    for members in partial:
+        S = PartialSpread(F, members)
+        covered = {p.key() for L in S.lines for p in L.points()}
+        want = [p for p in space.points if p.key() not in covered]
+        assert want and verify_spread(S).uncovered == want
+    monkeypatch.setattr(spreads, "enumerate_projective_space", None)
+    rep = verify_spread(PartialSpread(F, regular))
+    assert rep.clean and rep.uncovered == []
 
 
 def test_partition_into_lines_full_space(F2, P3F2):
