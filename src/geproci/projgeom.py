@@ -107,10 +107,6 @@ class ProjectiveLine3:
             self._points = tuple(sorted(pts))
         return self._points
 
-    def contains(self, p: ProjectivePoint) -> bool:
-        f = self.field
-        return matrix_rank(f, [list(self.rows[0]), list(self.rows[1]), list(p.reps)]) == 2
-
     def __eq__(self, other):
         return (
             isinstance(other, ProjectiveLine3)
@@ -213,12 +209,6 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine3:
     if p == q:
         raise EqualPoints("line through equal points is undefined")
     return ProjectiveLine3(p.field, [p.coords, q.coords])
-
-
-def lines_skew(l1: ProjectiveLine3, l2: ProjectiveLine3) -> bool:
-    f = l1.field
-    rows = [list(l1.rows[0]), list(l1.rows[1]), list(l2.rows[0]), list(l2.rows[1])]
-    return matrix_rank(f, rows) == 4
 
 
 def all_lines(field) -> list:

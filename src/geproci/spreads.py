@@ -3,13 +3,16 @@
 The search works on the skew graph of all lines: vertices are the
 canonically ordered lines, adjacency is skewness, and maximal partial
 spreads are exactly the maximal cliques.  Adjacency is kept as Python int
-bitmasks, so the inner loop is a few bit operations per node.
+bitmasks, so the inner loop walks candidate bits in place, a few bit
+operations per node; fingerprints add the same masks bit-sliced.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache, reduce
+from operator import or_
 from typing import NamedTuple, Optional
 
 from .fields import parse_field_spec
@@ -45,6 +48,14 @@ class PartialSpread:
         self.field = field
         self.lines = tuple(sorted(lines, key=ProjectiveLine3.key))
         self.maximal = maximal
+
+    @classmethod
+    def _presorted(cls, field, lines: tuple):
+        """A maximal partial spread from a tuple of lines already in key
+        order, as the search emits them; nothing is sorted or checked."""
+        S = cls.__new__(cls)
+        S.field, S.lines, S.maximal = field, lines, True
+        return S
 
     @property
     def q(self):
@@ -159,14 +170,14 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
     deficiency-0 inputs (a valid partial spread never covers everything)."""
     ls = S.lines
     violations = [(ls[i], ls[j]) for i, j in _meeting_pairs(ls)]
-    seen: dict = {}
+    seen = set()  # a point seen before lies on an earlier member
     doubly = []
     for line in ls:
         for p in line.points():
             k = p.key()
-            if k in seen and seen[k] is not line:
+            if k in seen:
                 doubly.append(p)
-            seen[k] = line
+            seen.add(k)
     uncovered = []
     q = S.field.size
     if len(seen) < q ** 3 + q ** 2 + q + 1:  # some point of PG(3,q) is missing
@@ -241,7 +252,8 @@ def search_maximal_partial_spreads(
     clique is generated exactly once, in its sorted order.  `sizes` filters
     the emitted sets (None keeps all).  Modes: `exhaustive` walks the whole
     tree, `first` stops at the first emitted spread, `sample` visits
-    branches in a seeded pseudorandom order (seed required).
+    branches in a seeded pseudorandom order (seed required).  Every child
+    counts one node against `node_budget`, in preorder.
     """
     if mode not in ("first", "exhaustive", "sample"):
         raise SpreadError(f"unknown mode {mode!r}")
@@ -258,49 +270,65 @@ def search_maximal_partial_spreads(
     min_size = min(sizes_set) if sizes_set else 0
 
     found = []
+    path = []  # the chosen line indices above the node being expanded
     nodes = 1  # the root
     truncated = node_budget < 1
 
-    def expand(chosen, cand_gt, cand_all):
+    def expand(size, cand_gt, cand_all):
         """Count and settle each child of a node, in preorder: emit it if
         nothing extends it, prune it if it cannot reach `min_size`, recurse
-        only if it has candidates of its own."""
+        only if it has candidates of its own.  Children have `size` lines.
+        Returns True when the search stops (budget or first spread)."""
         nonlocal nodes, truncated
-        size = len(chosen) + 1
-        order = _bit_indices(cand_gt)
+        emit = sizes_set is None or size in sizes_set
+        need = min_size - size  # further lines a child needs to reach min_size
+        order = None
         if rng is not None:
+            order = _bit_indices(cand_gt)
             rng.shuffle(order)
-        for i in order:
+            order = iter(order)
+        rest = cand_gt  # the children not yet visited
+        while rest:
+            if order is None:
+                low = rest & -rest
+                i = low.bit_length() - 1
+            else:
+                i = next(order)
+                low = 1 << i
+            rest ^= low
             nodes += 1
             if nodes > node_budget:
                 truncated = True
-                return
+                return True
             child_all = cand_all & skew[i]
-            child_gt = cand_gt & skew_gt[i]
             if not child_all:
-                if sizes_set is None or size in sizes_set:
-                    found.append(chosen + (i,))
+                if emit:
+                    found.append((*path, i))
                     if mode == "first":
-                        return
-            elif child_gt and (sizes_set is None or size + child_gt.bit_count() >= min_size):
+                        return True
+                continue
+            child_gt = cand_gt & skew_gt[i]
+            if child_gt and child_gt.bit_count() >= need:
                 # lines skipped here reappear in cand_all of siblings, so no
                 # maximal clique is lost by the index-increasing restriction
-                expand(chosen + (i,), child_gt, child_all)
-                if truncated or (found and mode == "first"):
-                    return
+                path.append(i)
+                if expand(size + 1, child_gt, child_all):
+                    return True
+                path.pop()
+        return False
 
     if not truncated and n >= min_size:
-        expand((), full, full)
+        expand(1, full, full)
     if rng is not None:
         found.sort()  # preorder with increasing indices emits the others sorted
-    # in place, so the index tuples are freed as their spreads are built
+    # in place, to free each index tuple; ascending indices are in key order
     for k, t in enumerate(found):
-        found[k] = PartialSpread(field, [lines[i] for i in t], maximal=True)
-    spreads = found
+        found[k] = PartialSpread._presorted(field, tuple([lines[i] for i in t]))
     lo, hi = deficiency_window(field.size)
-    anomalies = [(S, S.deficiency) for S in spreads
-                 if S.deficiency > 0 and not (lo <= S.deficiency <= hi)]
-    return SearchResult(spreads=spreads, nodes=nodes, truncated=truncated,
+    spread_size = field.size ** 2 + 1
+    odd = {k for k in range(spread_size) if not lo <= spread_size - k <= hi}
+    anomalies = [(S, S.deficiency) for S in found if len(S.lines) in odd]
+    return SearchResult(spreads=found, nodes=nodes, truncated=truncated,
                         anomalies=anomalies)
 
 
@@ -365,33 +393,45 @@ def _sorted_column_sums(masks, width):
     """The sorted multiset of the `width` column sums of 0/1 rows given as
     bitmasks.  The rows are added bit-sliced: plane j holds bit j of every
     column's running count, so a row costs a few carries.  `sels[c]` then
-    selects the columns whose count is c, and a popcount reads its size."""
+    selects the columns whose count is c, and a popcount reads its size.
+    The sorted tuple is built once per histogram of those sizes."""
     planes = []
     for carry in masks:
-        j = 0
-        while carry:
-            if j == len(planes):
-                planes.append(carry)
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
                 break
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            j += 1
+        if carry:
+            planes.append(carry)
     sels = [(1 << width) - 1]
     for plane in planes:
         sels = [s & m for m in (~plane, plane) for s in sels]
-    out = []
-    for count, sel in enumerate(sels):
-        out += [count] * sel.bit_count()
-    return tuple(out)
+    return _sorted_counts(tuple([s.bit_count() for s in sels]))
+
+
+@lru_cache(maxsize=None)
+def _sorted_counts(histogram: tuple) -> tuple:
+    """The sorted tuple holding histogram[c] copies of c, shared by every
+    call with that histogram (its sum is the width)."""
+    return tuple(c for c, n in enumerate(histogram) for _ in range(n))
 
 
 def spread_fingerprint(S: PartialSpread):
     """Projective-equivalence invariant: sorted point-degree multiset and
-    sorted profile of how many spread members each line of PG(3,q) meets."""
+    sorted profile of how many spread members each line of PG(3,q) meets.
+    Members covering k(q+1) points are disjoint, hence distinct, and their
+    point degrees are read off the union of their point masks."""
     tab = _line_table(S.field)
-    members = [tab.index[l.key()] for l in S.lines]
-    degrees = _sorted_column_sums([tab.points[i] for i in members], tab.npts)
-    # a repeated member counts once in the profile: it is a set of lines
-    profile = _sorted_column_sums([tab.meet[i] for i in set(members)], len(tab.lines))
+    members = [tab.index[k] for k in map(ProjectiveLine3.key, S.lines)]
+    rows = [tab.points[i] for i in members]
+    covered = reduce(or_, rows, 0).bit_count()
+    if covered == len(rows) * (S.field.size + 1):
+        degrees = _sorted_counts((tab.npts - covered, covered))
+    else:
+        degrees = _sorted_column_sums(rows, tab.npts)
+        members = set(members)  # a repeated member counts once in the profile
+    profile = _sorted_column_sums([tab.meet[i] for i in members], len(tab.lines))
     return (degrees, profile)
 
 

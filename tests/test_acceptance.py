@@ -29,7 +29,6 @@ from geproci.projgeom import (
     collinear_subsets,
     enumerate_projective_space,
     is_coplanar,
-    lines_skew,
     read_point_set,
 )
 from geproci.spreads import (
@@ -43,6 +42,8 @@ from geproci.spreads import (
     spread_fingerprint,
     verify_spread,
 )
+
+from oracles import lines_skew
 
 
 # 1. regular spreads ---------------------------------------------------------

@@ -14,10 +14,11 @@ from geproci.projgeom import (
     all_lines,
     collinear_subsets,
     enumerate_projective_space,
-    lines_skew,
     matrix_rank,
 )
 from geproci.spreads import complement_points
+
+from oracles import lines_skew
 
 
 def test_generic_point_shape(F2):

@@ -6,7 +6,7 @@ import pytest
 
 from geproci import spreads
 from geproci.fields import parse_field_spec
-from geproci.projgeom import PointSet, all_lines, enumerate_projective_space, lines_skew
+from geproci.projgeom import PointSet, all_lines, enumerate_projective_space, line_through
 from geproci.spreads import (
     NoPartition,
     PartialSpread,
@@ -21,6 +21,8 @@ from geproci.spreads import (
     verify_spread,
     write_spread,
 )
+
+from oracles import line_contains, lines_skew
 
 
 @pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2", "p=5"])
@@ -51,7 +53,9 @@ def test_search_first_mode(F3):
 
 
 # (nodes, truncated, found, sizes) of each search; `nodes` is a
-# deterministic report field of `geproci spread search`
+# deterministic report field of `geproci spread search`.  Rows that pin the
+# walk itself add the line keys of the first and last spread found, written
+# digit by digit: counts alone would not catch a reordered walk.
 SEARCH_CONTRACT = [
     ("p=2", dict(sizes=[5]), (872, False, 56, [5])),
     ("p=2", dict(), (1212, False, 56, [5])),
@@ -60,19 +64,49 @@ SEARCH_CONTRACT = [
     ("p=2", dict(mode="sample", seed=5), (1212, False, 56, [5])),
     ("p=3", dict(sizes=[7], mode="sample", seed=3, node_budget=5000), (5001, True, 163, [7])),
     ("p=3", dict(sizes=[7], mode="first", node_budget=10), (11, True, 0, [])),
+    # the exhaustive walk, truncated mid-tree
+    ("p=3", dict(sizes=[7], node_budget=1_000_000), (
+        1_000_001, True, 35971, [7],
+        "00100001 10000100 10010110 10020121 10100111 10110101 10120120",
+        "01000011 10100101 10110120 10200110 10220121 11200001 12020012")),
+    ("p=3", dict(sizes=[7], mode="sample", seed=3, node_budget=5000), (
+        5001, True, 163, [7],
+        "01100001 10010102 10020010 10100100 10110121 10200122 12000011",
+        "01100001 10010102 10120120 10210101 10220121 11010010 12000012")),
+    # a seed is ignored outside sample mode: `first` walks in index order
+    ("p=3", dict(sizes=[7], mode="first", seed=3, node_budget=5000), (
+        360, False, 1, [7],
+        "00100001 10000100 10010110 10020121 10100111 10110101 10120120",
+        "00100001 10000100 10010110 10020121 10100111 10110101 10120120")),
 ]
+
+
+def _digits(S):
+    return " ".join("".join(map(str, L.key())) for L in S.lines)
 
 
 @pytest.mark.parametrize("spec,kwargs,expected", SEARCH_CONTRACT)
 def test_search_contract(spec, kwargs, expected):
     res = search_maximal_partial_spreads(parse_field_spec(spec), **kwargs)
     sizes = sorted({len(S.lines) for S in res.spreads})
-    assert (res.nodes, res.truncated, len(res.spreads), sizes) == expected
+    got = (res.nodes, res.truncated, len(res.spreads), sizes)
+    if res.spreads:
+        got += (_digits(res.spreads[0]), _digits(res.spreads[-1]))
+    assert got[:len(expected)] == expected
     keys = [tuple(L.key() for L in S.lines) for S in res.spreads]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for S in res.spreads:
         assert S.maximal and S.is_pairwise_skew()
     assert res.anomalies == []
+
+
+def test_search_builds_what_the_constructor_builds(F2):
+    # the search skips the constructor's sort: its lines come in key order
+    res = search_maximal_partial_spreads(F2)
+    for S in res.spreads:
+        T = PartialSpread(F2, S.lines[::-1], maximal=True)
+        assert S == T and S.lines == T.lines and type(S.lines) is tuple
+        assert S.maximal is T.maximal is True and S.field is T.field
 
 
 def test_search_sample_requires_seed(F2):
@@ -104,7 +138,7 @@ def test_complement_and_fingerprint(mps7_q3):
 
 def test_partial_spread_rejects_non_skew(F2):
     lines = all_lines(F2)
-    meeting = [L for L in lines if L.contains(lines[0].points()[0])][:2]
+    meeting = [L for L in lines if line_contains(L, lines[0].points()[0])][:2]
     sp = PartialSpread(F2, meeting)
     assert not sp.is_pairwise_skew()
 
@@ -214,6 +248,67 @@ def test_fingerprint_matches_the_per_line_oracle(F2):
     assert deepest >= 4  # some point covered 4+ times: carries reach the third plane
 
 
+def test_sorted_column_sums_match_a_count_per_column():
+    rng = random.Random(17)
+    widths = [1, 2, 3, 63, 64, 65, 130, 200] + [rng.randrange(1, 201) for _ in range(12)]
+    for width in widths:
+        ones = (1 << width) - 1
+        for k in [0, 1, 2, 3, 7, 12]:
+            # sparse, even and dense rows, and full rows that carry into every plane
+            draws = [lambda: rng.getrandbits(width) & rng.getrandbits(width),
+                     lambda: rng.getrandbits(width),
+                     lambda: rng.getrandbits(width) | rng.getrandbits(width),
+                     lambda: ones]
+            masks = [rng.choice(draws)() for _ in range(k)]
+            naive = tuple(sorted(sum(m >> c & 1 for m in masks) for c in range(width)))
+            assert spreads._sorted_column_sums(masks, width) == naive, (width, k)
+    full = spreads._sorted_column_sums([ones] * 12, width)
+    assert full == (12,) * width and full is spreads._sorted_column_sums([ones] * 12, width)
+
+
+def test_fingerprint_survives_a_file_roundtrip(F3):
+    # read_spread builds new line objects; the fingerprint reads only keys
+    S = search_maximal_partial_spreads(F3, sizes=[7], mode="first").spreads[0]
+    back = read_spread(write_spread(S))
+    assert back == S and all(a is not b for a, b in zip(back.lines, S.lines))
+    assert spread_fingerprint(back) == spread_fingerprint(S) == _fingerprint_oracle(S)
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3"])
+def test_fingerprint_paths_match_the_oracle(monkeypatch, spec):
+    # disjoint members take the one-mask path (one column sum, for the
+    # profile); a repeated member or a meeting pair takes the general path
+    F = parse_field_spec(spec)
+    lines = all_lines(F)
+    regular = list(build_regular_spread(F).lines)
+    L = regular[0]
+    copy = line_through(*L.points()[:2])
+    meeting = [M for M in lines if line_contains(M, L.points()[0])][:2]
+    cases = [([], 1), (regular[:1], 1), (regular[:4], 1), (regular, 1),
+             (regular[:3] + [L], 2), (regular[:3] + [copy], 2),
+             (meeting, 2), (regular[1:5] + meeting, 2), (meeting + [meeting[0]], 2)]
+    calls = []
+    column_sums = spreads._sorted_column_sums
+    monkeypatch.setattr(spreads, "_sorted_column_sums",
+                        lambda masks, width: calls.append(width) or column_sums(masks, width))
+    for members, n_sums in cases:
+        calls.clear()
+        S = PartialSpread(F, members)
+        assert spread_fingerprint(S) == _fingerprint_oracle(S)
+        assert len(calls) == n_sums, (len(members), calls)
+
+
+def test_verify_spread_reports_a_repeated_member_by_position(F2):
+    # the same line object twice, and an equal but separate copy
+    L = all_lines(F2)[3]
+    copy = line_through(*L.points()[:2])
+    assert copy == L and copy is not L
+    for members in ([L, L], [L, copy]):
+        rep = verify_spread(PartialSpread(F2, members))
+        assert rep.doubly_covered == list(L.points()) and len(rep.doubly_covered) == 3
+        assert len(rep.skew_violations) == 1 and not rep.clean
+
+
 def _maximality_oracle(S):
     """The all-lines scan: no line of PG(3,q) outside S is skew to all of S."""
     return not any(all(lines_skew(c, l) for l in S.lines) and c not in S.lines
@@ -229,7 +324,7 @@ def test_check_maximality_matches_the_all_lines_scan(mps7_q3):
     for spec in ["p=2", "p=3", "p=2;ext=2"]:
         F = parse_field_spec(spec)
         lines = all_lines(F)
-        through = [L for L in lines if L.contains(lines[0].points()[0])]
+        through = [L for L in lines if line_contains(L, lines[0].points()[0])]
         samples = [[], lines[:1], through[:2], through, lines[:1] + through[1:]]
         samples += [rng.sample(lines, rng.randrange(1, 3 * F.size + 4)) for _ in range(14)]
         sets += [PartialSpread(F, members) for members in samples]
