@@ -381,7 +381,7 @@ def _parse_coord(field, token: str):
 def _read_header(text: str, kind: str):
     """(field, dim, body) of a `field: ...; dim: ...` file: the header's
     field and dimension, and the other non-blank, non-comment lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("field:"):
         raise GeometryError(f"{kind} file must start with a 'field:' header")
     # the field spec may itself contain ';', so the dim part is the tail

@@ -3,15 +3,19 @@
 The search works on the skew graph of all lines: vertices are the
 canonically ordered lines, adjacency is skewness, and maximal partial
 spreads are exactly the maximal cliques.  Adjacency is kept as Python int
-bitmasks, so the inner loop walks candidate bits in place, a few bit
-operations per node; fingerprints add the same masks bit-sliced.
+bitmasks: the inner loop walks candidate bits in place, found spreads stay
+packed as line indices, and fingerprints add the masks in byte lanes.
 """
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, reduce
+from itertools import accumulate, chain, pairwise
 from operator import or_
 from typing import NamedTuple, Optional
 
@@ -42,19 +46,21 @@ class PartialSpread:
     assumed: `verify_spread` reports violations rather than raising.
     """
 
-    __slots__ = ("field", "lines", "maximal")
+    __slots__ = ("field", "lines", "maximal", "_indices")
 
     def __init__(self, field, lines, maximal: Optional[bool] = None):
         self.field = field
         self.lines = tuple(sorted(lines, key=ProjectiveLine3.key))
         self.maximal = maximal
+        self._indices = None
 
     @classmethod
-    def _presorted(cls, field, lines: tuple):
+    def _presorted(cls, field, lines: tuple, indices=None):
         """A maximal partial spread from a tuple of lines already in key
-        order, as the search emits them; nothing is sorted or checked."""
+        order, as the search emits them; nothing is sorted or checked.
+        `indices`, their rows in _line_table(field), spare spread_fingerprint a lookup."""
         S = cls.__new__(cls)
-        S.field, S.lines, S.maximal = field, lines, True
+        S.field, S.lines, S.maximal, S._indices = field, lines, True, indices
         return S
 
     @property
@@ -99,18 +105,17 @@ class PartialSpread:
 
 
 class SpreadPointCover:
-    """The covered point set with the unique covering line per point."""
+    """The covered point set; a point covered twice raises SpreadError."""
 
     def __init__(self, spread: PartialSpread):
-        cover = {}
+        cover = {}  # point key -> point
         for line in spread.lines:
             for p in line.points():
                 if p.key() in cover:
                     raise SpreadError(f"point {p} covered twice")
-                cover[p.key()] = (p, line)
+                cover[p.key()] = p
         self.spread = spread
-        self.covering_line = {k: line for k, (p, line) in cover.items()}
-        self.point_set = PointSet(spread.field, [p for p, _ in cover.values()], 3)
+        self.point_set = PointSet(spread.field, list(cover.values()), 3)
 
     def __len__(self):
         return len(self.point_set)
@@ -221,7 +226,7 @@ def complement_points(S: PartialSpread) -> PointSet:
 
 @dataclass
 class SearchResult:
-    spreads: list
+    spreads: Sequence  # a _PackedSpreads view: its items are built on access
     nodes: int
     truncated: bool
     anomalies: list = dataclass_field(default_factory=list)
@@ -231,6 +236,32 @@ class SearchResult:
 
     def __len__(self):
         return len(self.spreads)
+
+
+@dataclass(repr=False)
+class _PackedSpreads(Sequence):
+    """A search's spreads, packed: spread k is the run idx[ends[k]:ends[k + 1]]
+    of ascending indices into the line table `lines`.  Each read of an item
+    builds a new PartialSpread, equal to the ones earlier reads built."""
+    field: object
+    idx: array
+    ends: array
+    lines: list = dataclass_field(compare=False)
+
+    def __len__(self):
+        return len(self.ends) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        k = range(len(self))[k]  # negative indices, and IndexError past the end
+        return self._build(self.idx[self.ends[k]:self.ends[k + 1]])
+
+    def __iter__(self):
+        return (self._build(self.idx[a:b]) for a, b in pairwise(self.ends))
+
+    def _build(self, run):
+        return PartialSpread._presorted(self.field, tuple(map(self.lines.__getitem__, run)), run)
 
 
 def deficiency_window(q: int):
@@ -269,7 +300,8 @@ def search_maximal_partial_spreads(
     sizes_set = set(sizes) if sizes is not None else None
     min_size = min(sizes_set) if sizes_set else 0
 
-    found = []
+    idx = array(next(c for c in "BHIL" if n <= 256 ** array(c).itemsize))  # a run per spread
+    ends = array("L", [0])  # the end of each run in idx
     path = []  # the chosen line indices above the node being expanded
     nodes = 1  # the root
     truncated = node_budget < 1
@@ -303,7 +335,8 @@ def search_maximal_partial_spreads(
             child_all = cand_all & skew[i]
             if not child_all:
                 if emit:
-                    found.append((*path, i))
+                    idx.extend((*path, i))
+                    ends.append(len(idx))
                     if mode == "first":
                         return True
                 continue
@@ -319,15 +352,16 @@ def search_maximal_partial_spreads(
 
     if not truncated and n >= min_size:
         expand(1, full, full)
-    if rng is not None:
-        found.sort()  # preorder with increasing indices emits the others sorted
-    # in place, to free each index tuple; ascending indices are in key order
-    for k, t in enumerate(found):
-        found[k] = PartialSpread._presorted(field, tuple([lines[i] for i in t]))
+    if rng is not None:  # preorder with increasing indices emits the others sorted
+        runs = sorted(idx[a:b] for a, b in pairwise(ends))
+        idx = array(idx.typecode, chain.from_iterable(runs))
+        ends = array("L", accumulate(map(len, runs), initial=0))
+    found = _PackedSpreads(field, idx, ends, lines)
     lo, hi = deficiency_window(field.size)
     spread_size = field.size ** 2 + 1
     odd = {k for k in range(spread_size) if not lo <= spread_size - k <= hi}
-    anomalies = [(S, S.deficiency) for S in found if len(S.lines) in odd]
+    anomalies = [(found[k], spread_size - b + a) for k, (a, b) in enumerate(pairwise(ends))
+                 if b - a in odd]
     return SearchResult(spreads=found, nodes=nodes, truncated=truncated,
                         anomalies=anomalies)
 
@@ -342,6 +376,8 @@ class _LineTable(NamedTuple):
     skew: list    # per line: bitmask of the lines skew to it
     meet: list    # per line: bitmask of the other lines meeting it
     npts: int
+    point_lanes: list  # `points` and `meet` widened to byte lanes (_widen)
+    meet_lanes: list
 
 
 _line_tables: dict = {}
@@ -371,7 +407,8 @@ def _line_table(field) -> _LineTable:
             meet.append(touching ^ (1 << i))
             skew.append(full ^ touching)
         tab = _LineTable(lines, {l.key(): i for i, l in enumerate(lines)},
-                         points, skew, meet, len(space))
+                         points, skew, meet, len(space),
+                         [_widen(m) for m in points], [_widen(m) for m in meet])
         _line_tables[key] = tab
     return tab
 
@@ -389,25 +426,28 @@ def _bit_indices(mask) -> list:
 # ---------------------------------------------------------------------------
 # fingerprints
 
-def _sorted_column_sums(masks, width):
-    """The sorted multiset of the `width` column sums of 0/1 rows given as
-    bitmasks.  The rows are added bit-sliced: plane j holds bit j of every
-    column's running count, so a row costs a few carries.  `sels[c]` then
-    selects the columns whose count is c, and a popcount reads its size.
-    The sorted tuple is built once per histogram of those sizes."""
-    planes = []
-    for carry in masks:
-        for j, plane in enumerate(planes):
-            planes[j] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    sels = [(1 << width) - 1]
-    for plane in planes:
-        sels = [s & m for m in (~plane, plane) for s in sels]
-    return _sorted_counts(tuple([s.bit_count() for s in sels]))
+def _widen(mask, nbytes=1) -> int:
+    """`mask` with bit j moved to the low bit of lane j, lanes `nbytes` wide."""
+    pad = "0" * (nbytes - 1)
+    digits = format(mask, "b").replace("0", pad + "0").replace("1", pad + "1")
+    return int.from_bytes(digits.encode().translate(bytes.maketrans(b"01", b"\0\1")), "big")
+
+
+def _sorted_lane_sums(rows, masks, lanes, width):
+    """The sorted multiset of the `width` column sums of the 0/1 rows
+    masks[i], i in rows, added as plain ints in lanes that no sum overflows
+    (the byte lanes lanes[i] below 256 rows) and counted off the sum's bytes."""
+    if len(rows) < 256:
+        cells = sum([lanes[i] for i in rows]).to_bytes(width, sys.byteorder)
+    else:  # unsigned long lanes, widened here
+        nbytes = array("L").itemsize
+        total = sum(_widen(masks[i], nbytes) for i in rows)
+        cells = array("L", total.to_bytes(width * nbytes, sys.byteorder))
+    histogram = []
+    while width:  # columns not yet counted
+        histogram.append(cells.count(len(histogram)))
+        width -= histogram[-1]
+    return _sorted_counts(tuple(histogram))
 
 
 @lru_cache(maxsize=None)
@@ -423,15 +463,15 @@ def spread_fingerprint(S: PartialSpread):
     Members covering k(q+1) points are disjoint, hence distinct, and their
     point degrees are read off the union of their point masks."""
     tab = _line_table(S.field)
-    members = [tab.index[k] for k in map(ProjectiveLine3.key, S.lines)]
-    rows = [tab.points[i] for i in members]
-    covered = reduce(or_, rows, 0).bit_count()
-    if covered == len(rows) * (S.field.size + 1):
+    members = S._indices = S._indices or tuple(
+        [tab.index[k] for k in map(ProjectiveLine3.key, S.lines)])
+    covered = reduce(or_, [tab.points[i] for i in members], 0).bit_count()
+    if covered == len(members) * (S.field.size + 1):
         degrees = _sorted_counts((tab.npts - covered, covered))
     else:
-        degrees = _sorted_column_sums(rows, tab.npts)
+        degrees = _sorted_lane_sums(members, tab.points, tab.point_lanes, tab.npts)
         members = set(members)  # a repeated member counts once in the profile
-    profile = _sorted_column_sums([tab.meet[i] for i in members], len(tab.lines))
+    profile = _sorted_lane_sums(members, tab.meet, tab.meet_lanes, len(tab.lines))
     return (degrees, profile)
 
 
@@ -472,7 +512,7 @@ def write_spread(S: PartialSpread) -> str:
 
 
 def read_spread(text: str) -> PartialSpread:
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not rows or not rows[0].startswith("field:"):
         raise GeometryError("spread file must start with a 'field:' header")
     field = parse_field_spec(rows[0].split(":", 1)[1].strip())

@@ -124,6 +124,12 @@ def test_point_set_file_roundtrip(P3F3):
     assert write_point_set(Z) == text
 
 
+def test_read_point_set_skips_indented_comments(P3F3):
+    head, *rows = write_point_set(P3F3).splitlines()
+    Z = read_point_set("\n".join(["  # note", head, *rows[:5], "\t# another", *rows[5:]]))
+    assert [p.key() for p in Z.points] == [p.key() for p in P3F3.points]
+
+
 def test_point_set_file_extension_field(F4):
     pts = list(enumerate_projective_space(F4, 3).points)[:7]
     Z = PointSet(F4, pts, 3)

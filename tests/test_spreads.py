@@ -1,6 +1,8 @@
 """Spreads and maximal partial spreads of PG(3,q)."""
+import dataclasses
 import functools
 import random
+import tracemalloc
 
 import pytest
 
@@ -109,6 +111,73 @@ def test_search_builds_what_the_constructor_builds(F2):
         assert S.maximal is T.maximal is True and S.field is T.field
 
 
+SEARCHES = [("p=2", dict()),
+            ("p=3", dict(sizes=[7], node_budget=1_000_000)),
+            ("p=3", dict(sizes=[7], mode="sample", seed=3, node_budget=5000))]
+
+
+def test_search_result_spreads_read_like_a_list():
+    for spec, kwargs in SEARCHES:
+        res = search_maximal_partial_spreads(parse_field_spec(spec), **kwargs)
+        view, items = res.spreads, list(res.spreads)
+        n = len(items)
+        assert len(view) == n > 0 and bool(view)
+        assert view[0] == items[0] and view[-1] == items[-1] and view[-n] == items[0]
+        assert view[0] is not view[0]  # built on access
+        for sl in [slice(None), slice(3, 9), slice(None, None, -7), slice(-5, None),
+                   slice(n, None)]:
+            assert view[sl] == items[sl]
+        assert list(reversed(view)) == items[::-1]
+        assert items[n // 2] in view and view.index(items[n // 2]) == n // 2
+        assert PartialSpread(view[0].field, view[0].lines[1:]) not in view
+        assert [len(S) for S in view] == [len(S) for S in items]
+        keys = [tuple(L.key() for L in S.lines) for S in view]
+        assert keys == sorted(keys)  # sample mode too
+        for k in [n, -n - 1]:
+            with pytest.raises(IndexError):
+                view[k]
+    for spec, kwargs in [SEARCHES[2], SEARCHES[0]]:
+        a, b = (search_maximal_partial_spreads(parse_field_spec(spec), **kwargs) for _ in "ab")
+        assert a == b and a.spreads == b.spreads and a.spreads is not b.spreads
+    F2, F3 = parse_field_spec("p=2"), parse_field_spec("p=3")
+    fives = search_maximal_partial_spreads(F2, sizes=[5])
+    assert fives.spreads == a.spreads == b.spreads and fives != b  # other node count
+    assert (search_maximal_partial_spreads(F3, node_budget=200).spreads
+            != search_maximal_partial_spreads(F3, node_budget=2000).spreads)
+    # the same indices cut into other runs are other spreads
+    merged = dataclasses.replace(fives.spreads, ends=fives.spreads.ends[::2])
+    assert merged != fives.spreads and len(merged) == 28
+    empty = search_maximal_partial_spreads(F3, sizes=[7], node_budget=5)
+    assert not empty.spreads and len(empty.spreads) == 0 and list(empty.spreads) == []
+
+
+def test_search_anomalies_are_the_spreads_outside_the_window(monkeypatch, F3):
+    # no proper maximal partial spread of q <= 3 falls outside the Mesner-Glynn
+    # window, so an empty window makes every one found an anomaly
+    monkeypatch.setattr(spreads, "deficiency_window", lambda q: (q * q + 2, 0))
+    sizes = set()
+    for kwargs in [dict(node_budget=5000), dict(mode="sample", seed=1, node_budget=5000)]:
+        res = search_maximal_partial_spreads(F3, **kwargs)
+        proper = [(S, S.deficiency) for S in res.spreads if S.deficiency]
+        assert res.anomalies == proper != []
+        sizes |= {len(S) for S in res.spreads}
+    assert sizes == {7, 10}  # a spread (size 10) is never an anomaly
+
+
+def test_search_keeps_under_32_bytes_per_spread(F3):
+    search_maximal_partial_spreads(F3, node_budget=1)  # builds the line table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = search_maximal_partial_spreads(F3, sizes=[7], node_budget=1_000_000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(res.spreads)
+    assert n == 35971
+    assert (retained - before) / n <= 32 and (peak - before) / n <= 32
+
+
 def test_search_sample_requires_seed(F2):
     with pytest.raises(SpreadError):
         search_maximal_partial_spreads(F2, mode="sample")
@@ -195,6 +264,13 @@ def test_partition_into_lines_impossible(mps7_q3):
     assert isinstance(part, NoPartition)
 
 
+def test_read_spread_skips_indented_comments(mps7_q3):
+    text = write_spread(mps7_q3)
+    head, *rows = text.splitlines()
+    noted = "\n".join(["  # note", head, "\t# another", *rows, "   #"])
+    assert read_spread(noted) == mps7_q3
+
+
 def test_spread_file_roundtrip(mps7_q3):
     text = write_spread(mps7_q3)
     back = read_spread(text)
@@ -245,7 +321,13 @@ def test_fingerprint_matches_the_per_line_oracle(F2):
         fp = spread_fingerprint(S)
         assert fp == _fingerprint_oracle(S)
         deepest = max(deepest, fp[0][-1])
-    assert deepest >= 4  # some point covered 4+ times: carries reach the third plane
+    assert deepest >= 4  # some point covered 4+ times
+
+
+def _column_sums(masks, width):
+    """`_sorted_lane_sums` of the rows `masks`, given with their byte lanes."""
+    lanes = [spreads._widen(m) for m in masks]
+    return spreads._sorted_lane_sums(range(len(masks)), masks, lanes, width)
 
 
 def test_sorted_column_sums_match_a_count_per_column():
@@ -261,9 +343,17 @@ def test_sorted_column_sums_match_a_count_per_column():
                      lambda: ones]
             masks = [rng.choice(draws)() for _ in range(k)]
             naive = tuple(sorted(sum(m >> c & 1 for m in masks) for c in range(width)))
-            assert spreads._sorted_column_sums(masks, width) == naive, (width, k)
-    full = spreads._sorted_column_sums([ones] * 12, width)
-    assert full == (12,) * width and full is spreads._sorted_column_sums([ones] * 12, width)
+            assert _column_sums(masks, width) == naive, (width, k)
+    full = _column_sums([ones] * 12, width)
+    assert full == (12,) * width and full is _column_sums([ones] * 12, width)
+    # 300 rows: a column sum past 255 needs lanes wider than a byte
+    for width in [1, 40, 130]:
+        ones = (1 << width) - 1
+        masks = [ones] * 150 + [rng.getrandbits(width) | rng.getrandbits(width)
+                                for _ in range(150)]
+        naive = tuple(sorted(sum(m >> c & 1 for m in masks) for c in range(width)))
+        assert naive[-1] > 255 and _column_sums(masks, width) == naive, width
+        assert _column_sums([ones] * 300, width) == (300,) * width
 
 
 def test_fingerprint_survives_a_file_roundtrip(F3):
@@ -286,11 +376,12 @@ def test_fingerprint_paths_match_the_oracle(monkeypatch, spec):
     meeting = [M for M in lines if line_contains(M, L.points()[0])][:2]
     cases = [([], 1), (regular[:1], 1), (regular[:4], 1), (regular, 1),
              (regular[:3] + [L], 2), (regular[:3] + [copy], 2),
-             (meeting, 2), (regular[1:5] + meeting, 2), (meeting + [meeting[0]], 2)]
+             (meeting, 2), (regular[1:5] + meeting, 2), (meeting + [meeting[0]], 2),
+             ([L] * 300, 2)]  # its points are covered 300 times
     calls = []
-    column_sums = spreads._sorted_column_sums
-    monkeypatch.setattr(spreads, "_sorted_column_sums",
-                        lambda masks, width: calls.append(width) or column_sums(masks, width))
+    lane_sums = spreads._sorted_lane_sums
+    monkeypatch.setattr(spreads, "_sorted_lane_sums", lambda rows, masks, lanes, width:
+                        calls.append(width) or lane_sums(rows, masks, lanes, width))
     for members, n_sums in cases:
         calls.clear()
         S = PartialSpread(F, members)
