@@ -400,6 +400,22 @@ def test_verify_spread_reports_a_repeated_member_by_position(F2):
         assert len(rep.skew_violations) == 1 and not rep.clean
 
 
+def test_point_cover_names_the_first_doubly_covered_point(F2):
+    # a repeated line, an equal copy and a meeting pair: the cover and the
+    # complement both refuse them at the first point on two members
+    lines = all_lines(F2)
+    L = lines[3]
+    copy = line_through(*L.points()[:2])
+    M = next(M for M in lines if M != L and line_contains(M, L.points()[1]))
+    for members, first in ([L, L], L.points()[0]), ([L, copy], L.points()[0]), \
+                          ([L, M], L.points()[1]):
+        S = PartialSpread(F2, members)
+        for cover in (S.point_cover, lambda: complement_points(S)):
+            with pytest.raises(SpreadError) as err:
+                cover()
+            assert str(err.value) == f"point {first} covered twice"
+
+
 def _maximality_oracle(S):
     """The all-lines scan: no line of PG(3,q) outside S is skew to all of S."""
     return not any(all(lines_skew(c, l) for l in S.lines) and c not in S.lines
