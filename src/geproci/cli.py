@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from importlib import resources
+from itertools import pairwise
 
 from . import core, fatpoints, spreads
 from .fields import field_degree_over_prime, parse_field_spec
@@ -15,7 +16,6 @@ from .projgeom import (
     PointSet,
     ProjectivePoint,
     collinear_classes,
-    collinear_subsets,
     enumerate_projective_space,
     read_point_set,
     write_point_set,
@@ -107,7 +107,7 @@ def cmd_spread_search(args, report):
     report["found"] = len(res.spreads)
     report["nodes"] = res.nodes
     report["truncated"] = res.truncated
-    report["sizes"] = sorted({len(s.lines) for s in res.spreads})
+    report["sizes"] = sorted({b - a for a, b in pairwise(res.spreads.ends)})
     for a in res.anomalies:
         report.anomaly(str(a))
     print(f"found {len(res.spreads)} maximal partial spreads "
@@ -262,7 +262,7 @@ def _reproduce_mps_q3(report):
     S = spreads.read_spread(fixture_text("mps7-q3.spread"))
     rep = spreads.verify_spread(S)
     Z = spreads.complement_points(S)
-    triples = [t for t in collinear_subsets(Z, 3) if len(t[1]) == 3]
+    triples = [c for c in collinear_classes(Z) if len(c) == 3]
     v = core.geproci_check(Z, 3, 4, mode="generic")
     flags = core.classify(Z, 3, 4)
     report["spread_size"] = len(S.lines)

@@ -4,9 +4,8 @@ The central question: project a point set (or fat-point scheme) of P³ from
 a general point P onto the plane w=0, and decide whether the image is the
 complete intersection of curves of degrees (alpha, beta).  A point set and
 a fat-point scheme answer one scheme interface (`as_projection_entries`,
-`scheme_length`, `support_points`), so neither projection nor
-certification asks which kind it has; only the line-product hints need a
-point set.
+`scheme_length`), so neither projection nor certification asks which
+kind it has; only the line-product hints need a point set.
 
 Two working modes:
   GENERIC — P = (a,b,c,1) with a,b,c independent transcendentals; every
@@ -48,7 +47,7 @@ from .multipoly import (
     restrict_to_line,
     scalar_is_zero,
 )
-from .projgeom import GeometryError, PointSet, ProjectivePoint, all_lines, collinear_classes, collinear_subsets, exact_cover, is_coplanar
+from .projgeom import GeometryError, PointSet, ProjectivePoint, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
 
 
 class CoreError(Exception):
@@ -656,25 +655,40 @@ def skew_line_cover(Z: PointSet, count: int, per: int):
     len(Z).  Lines covering Z exactly can meet only off Z, so using each
     of those bits at most once makes them pairwise skew.  When per = q+1
     a line lies in Z and its members are all its points."""
+    return _skew_line_cover(Z, count, per, ())
+
+
+def _skew_line_cover(Z: PointSet, count: int, per: int, avoid):
+    """skew_line_cover by lines other than those of `avoid`."""
     if count * per != len(Z):
         return None
-    subsets = [lm for lm in collinear_subsets(Z, per) if len(lm[1]) == per]
-    index = {p: i for i, p in enumerate(Z.points)}
+    pts = Z.points
+    usable = sorted(((line_through(pts[c[0]], pts[c[1]]), c) for c in collinear_classes(Z)
+                     if len(c) == per), key=lambda lc: lc[0].key())
+    usable = [(line, c) for line, c in usable if line not in avoid]
+    index = {p: i for i, p in enumerate(pts)}
     masks = []
-    for line, members in subsets:
-        pts = members if per == Z.field.size + 1 else line.points()
-        for p in pts:
+    for line, c in usable:
+        on = [pts[i] for i in c] if per == Z.field.size + 1 else line.points()
+        for p in on:
             index.setdefault(p, len(index))
-        masks.append(sum(1 << index[p] for p in pts))
+        masks.append(sum(1 << index[p] for p in on))
     chosen = exact_cover(masks, (1 << len(Z)) - 1)
-    return None if chosen is None else [subsets[k][0] for k in chosen]
+    return None if chosen is None else [usable[k][0] for k in chosen]
 
 
 def classify(Z: PointSet, alpha: int, beta: int) -> ClassificationFlags:
-    """Combinatorial flags: degenerate / grid / half grid cover / nontrivial."""
+    """Combinatorial flags: degenerate / grid / half grid cover / nontrivial.
+
+    A grid has two covers by skew lines, one per ruling.  Lines of
+    different rulings meet, so no cover mixes them, and when alpha = beta
+    the second cover is sought among the lines outside the first."""
     degenerate = is_coplanar(Z)
     cover_ab = skew_line_cover(Z, alpha, beta)
-    cover_ba = skew_line_cover(Z, beta, alpha)
+    if alpha != beta:
+        cover_ba = skew_line_cover(Z, beta, alpha)
+    else:
+        cover_ba = cover_ab and _skew_line_cover(Z, beta, alpha, cover_ab)
     grid = cover_ab is not None and cover_ba is not None
     half = (cover_ab is not None or cover_ba is not None) and not grid
     return ClassificationFlags(

@@ -25,8 +25,8 @@ from .projgeom import (
     GeometryError,
     PointSet,
     ProjectivePoint,
-    _parse_coord,
     _format_coord,
+    _parse_point,
     _read_header,
 )
 
@@ -128,24 +128,17 @@ def write_scheme(S: FatPointScheme) -> str:
 
 def read_scheme(text: str) -> FatPointScheme:
     field, dim, body = _read_header(text, "scheme")
-
-    def parse_point(tok):
-        coords = [_parse_coord(field, t) for t in tok.split(",")]
-        if len(coords) != dim + 1:
-            raise GeometryError(f"expected {dim + 1} coordinates, got {len(coords)}")
-        return ProjectivePoint(field, coords)
-
     simple = []
     doubled = []
     for ln in body:
         if ln.startswith("simple:"):
-            simple.append(parse_point(ln.split(":", 1)[1].strip()))
+            simple.append(_parse_point(field, dim, ln.split(":", 1)[1].strip()))
         elif ln.startswith("double:"):
             left, _, right = ln.split(":", 1)[1].partition("|")
             if "toward:" not in right:
                 raise GeometryError("doubled point needs a '| toward:' part")
-            A = parse_point(left.strip())
-            B = parse_point(right.split(":", 1)[1].strip())
+            A = _parse_point(field, dim, left.strip())
+            B = _parse_point(field, dim, right.split(":", 1)[1].strip())
             doubled.append((A, B))
         else:
             raise GeometryError(f"unrecognized scheme line: {ln!r}")

@@ -1,7 +1,9 @@
 """Points and lines of P^n over a finite field: enumeration and incidence."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 from .fields import FieldElement, FieldError, parse_field_spec, row_reduce
 
@@ -79,6 +81,8 @@ class ProjectiveLine3:
     __slots__ = ("field", "rows", "_points", "_key")
 
     def __init__(self, field, rows: Sequence[Sequence]):
+        if any(len(row) != 4 for row in rows):
+            raise GeometryError("a line of P^3 needs rows of 4 coordinates")
         rep_rows = []
         for row in rows:
             rep_rows.append([field.element(c).rep for c in row])
@@ -212,43 +216,28 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine3:
 
 
 def all_lines(field) -> list:
-    """Every line of PG(3,q) exactly once, in canonical RREF key order."""
+    """Every line of PG(3,q) exactly once, in canonical RREF key order.
+
+    The lines are built once per field; each call returns a fresh list."""
+    return list(_all_lines(field))
+
+
+@lru_cache(maxsize=None)
+def _all_lines(field) -> tuple:
     elems = list(field.elements())
     one, zero = field.one(), field.zero()
-    lines = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            free0 = [k for k in range(i + 1, 4) if k != j]
-            free1 = [k for k in range(j + 1, 4)]
-            n0, n1 = len(free0), len(free1)
 
-            def fill(template, positions, values):
-                row = list(template)
-                for pos, v in zip(positions, values):
-                    row[pos] = v
-                return row
+    def rows(pivot, free):
+        """Every row with 1 at `pivot`, any values at `free` and 0 elsewhere."""
+        return [[dict(zip(free, vals)).get(k, one if k == pivot else zero) for k in range(4)]
+                for vals in product(elems, repeat=len(free))]
 
-            base0 = [zero] * 4
-            base0[i] = one
-            base1 = [zero] * 4
-            base1[j] = one
-            stack0 = _tuples(elems, n0)
-            stack1 = _tuples(elems, n1)
-            for v0 in stack0:
-                r0 = fill(base0, free0, v0)
-                for v1 in stack1:
-                    r1 = fill(base1, free1, v1)
-                    lines.append(ProjectiveLine3(field, [r0, r1]))
-    return sorted(lines)
-
-
-def _tuples(elems, n):
-    if n == 0:
-        return [()]
-    out = [()]
-    for _ in range(n):
-        out = [t + (e,) for t in out for e in elems]
-    return out
+    # RREF with pivots i < j: free entries right of each pivot, none above j
+    lines = [ProjectiveLine3(field, [r0, r1])
+             for i, j in combinations(range(4), 2)
+             for r0 in rows(i, [k for k in range(i + 1, 4) if k != j])
+             for r1 in rows(j, range(j + 1, 4))]
+    return tuple(sorted(lines))
 
 
 def collinear_classes(Z: PointSet) -> list:
@@ -293,18 +282,6 @@ def _collinear_classes(Z: PointSet) -> list:
                 done[k] |= mask
             classes.append(tuple(members))
     return classes
-
-
-def collinear_subsets(Z: PointSet, k: int = 3) -> list:
-    """All lines containing at least k points of Z, with their incidences,
-    sorted by line key."""
-    if k < 2:
-        raise GeometryError("threshold must be >= 2")
-    pts = Z.points
-    out = [(line_through(pts[c[0]], pts[c[1]]), tuple(pts[i] for i in c))
-           for c in collinear_classes(Z) if len(c) >= k]
-    out.sort(key=lambda lm: lm[0].key())
-    return out
 
 
 def exact_cover(masks: Sequence[int], target: int, parts: int = None):
@@ -379,25 +356,28 @@ def _parse_coord(field, token: str):
 
 
 def _read_header(text: str, kind: str):
-    """(field, dim, body) of a `field: ...; dim: ...` file: the header's
-    field and dimension, and the other non-blank, non-comment lines."""
+    """(field, dim, body) of a `field: <spec>[; dim: <n>]` file: the
+    header's field, its dimension (None if it declares none), and the other
+    non-blank, non-comment lines."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("field:"):
         raise GeometryError(f"{kind} file must start with a 'field:' header")
-    # the field spec may itself contain ';', so the dim part is the tail
-    field_part, _, dim_part = lines[0].rpartition(";")
-    field = parse_field_spec(field_part.split(":", 1)[1].strip())
-    if "dim:" not in dim_part:
+    # the field spec may itself contain ';', so the dim part is found by its key
+    spec, _, dim = lines[0].split(":", 1)[1].partition("dim:")
+    field = parse_field_spec(spec.strip().rstrip(";"))
+    return field, int(dim) if dim else None, lines[1:]
+
+
+def _parse_point(field, dim, token: str) -> ProjectivePoint:
+    """The point of P^dim whose coordinates `token` lists, comma-separated."""
+    if dim is None:
         raise GeometryError("header must declare 'dim:'")
-    return field, int(dim_part.split(":", 1)[1].strip()), lines[1:]
+    coords = [_parse_coord(field, tok) for tok in token.split(",")]
+    if len(coords) != dim + 1:
+        raise GeometryError(f"expected {dim + 1} coordinates, got {len(coords)}")
+    return ProjectivePoint(field, coords)
 
 
 def read_point_set(text: str) -> PointSet:
     field, dim, body = _read_header(text, "point-set")
-    pts = []
-    for ln in body:
-        coords = [_parse_coord(field, tok) for tok in ln.split(",")]
-        if len(coords) != dim + 1:
-            raise GeometryError(f"expected {dim + 1} coordinates, got {len(coords)}")
-        pts.append(ProjectivePoint(field, coords))
-    return PointSet(field, pts, dim)
+    return PointSet(field, [_parse_point(field, dim, ln) for ln in body], dim)

@@ -19,7 +19,6 @@ from itertools import accumulate, chain, pairwise
 from operator import or_
 from typing import NamedTuple, Optional
 
-from .fields import parse_field_spec
 from .projgeom import (
     GeometryError,
     PointSet,
@@ -32,6 +31,7 @@ from .projgeom import (
     line_through,
     _format_coord,
     _parse_coord,
+    _read_header,
 )
 
 
@@ -84,41 +84,30 @@ class PartialSpread:
             and tuple(l.key() for l in self.lines) == tuple(l.key() for l in other.lines)
         )
 
-    def point_cover(self) -> "SpreadPointCover":
-        return SpreadPointCover(self)
+    def point_cover(self) -> PointSet:
+        """The covered points; a point on two members raises SpreadError."""
+        through, _ = _incidence(self.lines)
+        doubly = [p for p, m in through.items() if m & (m - 1)]
+        if doubly:
+            raise SpreadError(f"point {min(doubly)} covered twice")
+        return PointSet(self.field, through, 3)
 
     def is_pairwise_skew(self) -> bool:
-        return not _meeting_pairs(self.lines)
+        through, _ = _incidence(self.lines)
+        return not any(m & (m - 1) for m in through.values())
 
     def check_maximality(self) -> bool:
         """Whether no line outside the set is skew to all its members.
 
         Such a line is exactly a full line of uncovered points, so this
         holds for any set of lines, pairwise skew or not."""
-        covered = {p for l in self.lines for p in l.points()}
-        rest = [p for p in enumerate_projective_space(self.field, 3) if p not in covered]
+        through, _ = _incidence(self.lines)
+        rest = [p for p in enumerate_projective_space(self.field, 3) if p not in through]
         q = self.field.size
         return all(len(c) <= q for c in collinear_classes(PointSet(self.field, rest, 3)))
 
     def __repr__(self):
         return f"<PartialSpread q={self.q} size={len(self.lines)} deficiency={self.deficiency}>"
-
-
-class SpreadPointCover:
-    """The covered point set; a point covered twice raises SpreadError."""
-
-    def __init__(self, spread: PartialSpread):
-        cover = {}  # point key -> point
-        for line in spread.lines:
-            for p in line.points():
-                if p.key() in cover:
-                    raise SpreadError(f"point {p} covered twice")
-                cover[p.key()] = p
-        self.spread = spread
-        self.point_set = PointSet(spread.field, list(cover.values()), 3)
-
-    def __len__(self):
-        return len(self.point_set)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +161,19 @@ class SpreadReport:
 
 def verify_spread(S: PartialSpread) -> SpreadReport:
     """Pairwise-skew and cover check; uncovered points only matter for
-    deficiency-0 inputs (a valid partial spread never covers everything)."""
+    deficiency-0 inputs (a valid partial spread never covers everything).
+    A point on k members is listed k - 1 times as doubly covered, in point
+    order."""
     ls = S.lines
-    violations = [(ls[i], ls[j]) for i, j in _meeting_pairs(ls)]
-    seen = set()  # a point seen before lies on an earlier member
-    doubly = []
-    for line in ls:
-        for p in line.points():
-            k = p.key()
-            if k in seen:
-                doubly.append(p)
-            seen.add(k)
+    through, meet = _incidence(ls)
+    violations = [(ls[i], ls[j]) for i, m in enumerate(meet)
+                  for j in _bit_indices(m >> (i + 1) << (i + 1))]
+    doubly = [p for p in sorted(through) for _ in range(through[p].bit_count() - 1)]
     uncovered = []
     q = S.field.size
-    if len(seen) < q ** 3 + q ** 2 + q + 1:  # some point of PG(3,q) is missing
+    if len(through) < q ** 3 + q ** 2 + q + 1:  # some point of PG(3,q) is missing
         space = enumerate_projective_space(S.field, 3)
-        uncovered = [p for p in space.points if p.key() not in seen]
+        uncovered = [p for p in space.points if p not in through]
     return SpreadReport(
         size=len(ls),
         deficiency=S.deficiency,
@@ -197,28 +183,25 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
     )
 
 
-def _meeting_pairs(lines) -> list:
-    """The pairs (i, j), i < j, of `lines` that meet, in ascending order.
-
-    Two lines of PG(3,q) meet exactly when they share a rational point, so
-    each line ORs together the masks of the lines through its points; a
-    repeated line meets its copies."""
-    through: dict = {}  # point -> bitmask of the lines through it
+def _incidence(lines):
+    """(through, meet): `through` maps each point on `lines` to the bitmask
+    of the lines through it, and meet[i] is the bitmask of the lines that
+    share a point with lines[i], itself included.  Two lines of PG(3,q)
+    meet exactly when they share a point, so a repeated line meets its
+    copies."""
+    through: dict = {}
     for i, line in enumerate(lines):
         for p in line.points():
             through[p] = through.get(p, 0) | 1 << i
-    pairs = []
-    for i, line in enumerate(lines):
-        meet = 0
-        for p in line.points():
-            meet |= through[p]
-        pairs += [(i, j) for j in _bit_indices(meet >> (i + 1) << (i + 1))]
-    return pairs
+    meet = [0] * len(lines)
+    for m in through.values():
+        for i in _bit_indices(m):
+            meet[i] |= m
+    return through, meet
 
 
 def complement_points(S: PartialSpread) -> PointSet:
-    space = enumerate_projective_space(S.field, 3)
-    return space.minus(S.point_cover().point_set)
+    return enumerate_projective_space(S.field, 3).minus(S.point_cover())
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +355,7 @@ def search_maximal_partial_spreads(
 class _LineTable(NamedTuple):
     lines: list   # all_lines(field), in key order
     index: dict   # line key -> position in `lines`
-    points: list  # per line: bitmask of its points, in enumerate_projective_space order
+    points: list  # per line: bitmask of its points, in key order
     skew: list    # per line: bitmask of the lines skew to it
     meet: list    # per line: bitmask of the other lines meeting it
     npts: int
@@ -385,29 +368,20 @@ _line_tables: dict = {}
 
 def _line_table(field) -> _LineTable:
     """The incidence tables of PG(3,q) that the search and the fingerprints
-    share, built once per field.  Two distinct lines meet exactly when they
-    share a point, so meeting is read off the point masks."""
+    share, built once per field from the incidence of all its lines."""
     key = field.spec_string()
     tab = _line_tables.get(key)
     if tab is None:
         lines = all_lines(field)
-        space = enumerate_projective_space(field, 3)
-        pt_index = {p.key(): i for i, p in enumerate(space.points)}
-        points = [sum(1 << pt_index[p.key()] for p in l.points()) for l in lines]
-        through = [0] * len(space)  # per point: bitmask of the lines through it
-        for i, pm in enumerate(points):
-            for p in _bit_indices(pm):
-                through[p] |= 1 << i
+        through, touching = _incidence(lines)
+        points = [0] * len(lines)
+        for k, p in enumerate(sorted(through)):
+            for i in _bit_indices(through[p]):
+                points[i] |= 1 << k
         full = (1 << len(lines)) - 1
-        meet, skew = [], []
-        for i, pm in enumerate(points):
-            touching = 0
-            for p in _bit_indices(pm):
-                touching |= through[p]
-            meet.append(touching ^ (1 << i))
-            skew.append(full ^ touching)
+        meet = [m ^ (1 << i) for i, m in enumerate(touching)]
         tab = _LineTable(lines, {l.key(): i for i, l in enumerate(lines)},
-                         points, skew, meet, len(space),
+                         points, [full ^ m for m in touching], meet, len(through),
                          [_widen(m) for m in points], [_widen(m) for m in meet])
         _line_tables[key] = tab
     return tab
@@ -512,12 +486,9 @@ def write_spread(S: PartialSpread) -> str:
 
 
 def read_spread(text: str) -> PartialSpread:
-    rows = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not rows or not rows[0].startswith("field:"):
-        raise GeometryError("spread file must start with a 'field:' header")
-    field = parse_field_spec(rows[0].split(":", 1)[1].strip())
+    field, _, body = _read_header(text, "spread")
     lines = []
-    for ln in rows[1:]:
+    for ln in body:
         parts = ln.split("|")
         if len(parts) != 2:
             raise GeometryError("each spread line needs two point rows separated by '|'")

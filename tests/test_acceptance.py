@@ -26,7 +26,6 @@ from geproci.projgeom import (
     PointSet,
     ProjectivePoint,
     all_lines,
-    collinear_subsets,
     enumerate_projective_space,
     is_coplanar,
     read_point_set,
@@ -43,7 +42,7 @@ from geproci.spreads import (
     verify_spread,
 )
 
-from oracles import lines_skew
+from oracles import collinear_subsets, lines_skew
 
 
 # 1. regular spreads ---------------------------------------------------------

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from geproci import spreads
 from geproci.cli import REPRODUCE, fixture_text, main
 from geproci.fatpoints import read_scheme, write_scheme
-from geproci.projgeom import read_point_set, write_point_set
+from geproci.fields import parse_field_spec
+from geproci.projgeom import GeometryError, read_point_set, write_point_set
 from geproci.spreads import read_spread, write_spread
 
 FIXDIR = "src/geproci/fixtures"
@@ -77,6 +79,19 @@ def test_spread_verify_fixture(capsys):
     assert "7 lines" in out and "maximal: True" in out
 
 
+@pytest.mark.parametrize("row", ["1,0,0|0,1,0", "1,0,0,0,0|0,1,0,0,0"])
+def test_spread_rows_need_4_coordinates(tmp_path, capsys, row):
+    text = f"field: p=2\n{row}\n"
+    with pytest.raises(GeometryError, match="rows of 4 coordinates"):
+        read_spread(text)
+    src, out_path = tmp_path / "bad.spread", tmp_path / "r.json"
+    src.write_text(text)
+    code = main(["--out", str(out_path), "spread", "verify", str(src)])
+    capsys.readouterr()
+    assert code == 1
+    assert json.loads(out_path.read_text())["error"]["type"] == "GeometryError"
+
+
 def test_complement_count(capsys, tmp_path):
     dest = tmp_path / "z.points"
     code, out = run(capsys, "complement", f"{FIXDIR}/mps7-q3.spread",
@@ -132,6 +147,29 @@ def test_spread_search_first(capsys):
                     "--mode", "first")
     assert code == 0
     assert "found 1" in out
+
+
+@pytest.mark.parametrize("spec,budget", [("p=2", 10 ** 8), ("p=3", 300_000)])
+def test_spread_search_reports_sizes_without_building_spreads(
+        monkeypatch, tmp_path, capsys, spec, budget):
+    # the sizes are the run lengths of the packed result; only --save
+    # builds a PartialSpread, its first witness
+    res = spreads.search_maximal_partial_spreads(parse_field_spec(spec), node_budget=budget)
+    want = (len(res.spreads), res.nodes, sorted({len(S.lines) for S in res.spreads}))
+    built = []
+    presorted = spreads.PartialSpread._presorted
+    monkeypatch.setattr(spreads.PartialSpread, "_presorted",
+                        staticmethod(lambda *a: built.append(a) or presorted(*a)))
+    out_path = tmp_path / "r.json"
+    for save in ([], ["--save", str(tmp_path / "w.spread")]):
+        built.clear()
+        code = main(["--out", str(out_path), "spread", "search", "--field", spec,
+                     "--node-budget", str(budget), *save])
+        capsys.readouterr()
+        report = json.loads(out_path.read_text())
+        assert code == 0 and (report["found"], report["nodes"], report["sizes"]) == want
+        assert len(built) == (1 if save else 0)
+    assert read_spread((tmp_path / "w.spread").read_text()) == res.spreads[0]
 
 
 def test_reproduce_targets_cover_acceptance_ids():

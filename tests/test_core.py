@@ -12,13 +12,12 @@ from geproci.projgeom import (
     ProjectiveLine3,
     ProjectivePoint,
     all_lines,
-    collinear_subsets,
     enumerate_projective_space,
     matrix_rank,
 )
 from geproci.spreads import complement_points
 
-from oracles import lines_skew
+from oracles import collinear_subsets, lines_skew
 
 
 def test_generic_point_shape(F2):

@@ -11,7 +11,6 @@ from geproci.projgeom import (
     ProjectivePoint,
     all_lines,
     collinear_classes,
-    collinear_subsets,
     enumerate_projective_space,
     exact_cover,
     is_coplanar,
@@ -21,7 +20,7 @@ from geproci.projgeom import (
     write_point_set,
 )
 
-from oracles import line_contains, lines_skew
+from oracles import collinear_subsets, line_contains, lines_skew
 
 
 @pytest.mark.parametrize("spec,npts,nlines", [
@@ -391,6 +390,26 @@ def _hyperbolic_quadric(F):
     """x0·x3 = x1·x2: (q+1)² points, a (q+1, q+1) grid."""
     return PointSet(F, [p for p in enumerate_projective_space(F, 3)
                         if (p.coords[0] * p.coords[3] - p.coords[1] * p.coords[2]).is_zero()], 3)
+
+
+def test_classify_with_equal_degrees_needs_a_second_ruling():
+    # of the 210 unions of 4 lines of the regular spread of PG(3,3), the 30
+    # reguli lie on a quadric with an opposite ruling; the other 180 hold no
+    # 4-point line but their own, so their only cover is the one they came from
+    from geproci.core import classify
+    from geproci.fields import parse_field_spec
+    from geproci.spreads import build_regular_spread
+
+    F = parse_field_spec("p=3")
+    assert classify(_hyperbolic_quadric(F), 4, 4).grid
+    unions = [PointSet(F, [p for L in four for p in L.points()], 3)
+              for four in itertools.combinations(build_regular_spread(F).lines, 4)]
+    single = [sum(len(c) == 4 for c in collinear_classes(Z)) == 4 for Z in unions]
+    assert (len(unions), sum(single)) == (210, 180)
+    for Z, one_ruling in zip(unions, single):
+        flags = classify(Z, 4, 4)
+        assert (flags.grid, flags.half_grid_cover) == (not one_ruling, one_ruling)
+        assert not flags.degenerate and not flags.nontrivial
 
 
 def _random_line_unions(count):
