@@ -128,6 +128,8 @@ def write_scheme(S: FatPointScheme) -> str:
 
 def read_scheme(text: str) -> FatPointScheme:
     field, dim, body = _read_header(text, "scheme")
+    if dim is None:
+        raise GeometryError("header must declare 'dim:'")
     simple = []
     doubled = []
     for ln in body:

@@ -370,8 +370,6 @@ def _read_header(text: str, kind: str):
 
 def _parse_point(field, dim, token: str) -> ProjectivePoint:
     """The point of P^dim whose coordinates `token` lists, comma-separated."""
-    if dim is None:
-        raise GeometryError("header must declare 'dim:'")
     coords = [_parse_coord(field, tok) for tok in token.split(",")]
     if len(coords) != dim + 1:
         raise GeometryError(f"expected {dim + 1} coordinates, got {len(coords)}")
@@ -380,4 +378,6 @@ def _parse_point(field, dim, token: str) -> ProjectivePoint:
 
 def read_point_set(text: str) -> PointSet:
     field, dim, body = _read_header(text, "point-set")
+    if dim is None:
+        raise GeometryError("header must declare 'dim:'")
     return PointSet(field, [_parse_point(field, dim, ln) for ln in body], dim)

@@ -92,6 +92,18 @@ def test_spread_rows_need_4_coordinates(tmp_path, capsys, row):
     assert json.loads(out_path.read_text())["error"]["type"] == "GeometryError"
 
 
+def test_headers_of_point_files_need_a_dim_and_spread_headers_do_not(F4):
+    for text in ("field: p=2\n", "field: p=2\n1,0,0,0\n"):
+        with pytest.raises(GeometryError, match="must declare 'dim:'"):
+            read_point_set(text)
+    with pytest.raises(GeometryError, match="must declare 'dim:'"):
+        read_scheme("field: p=2\n")
+    # a field spec holding ';' is read whole when no dim follows it
+    S = spreads.build_regular_spread(F4)
+    assert write_spread(S).startswith("field: p=2;mod=1,1,1\n")
+    assert read_spread(write_spread(S)) == S
+
+
 def test_complement_count(capsys, tmp_path):
     dest = tmp_path / "z.points"
     code, out = run(capsys, "complement", f"{FIXDIR}/mps7-q3.spread",
