@@ -1,7 +1,6 @@
 """Points and lines of P^n over a finite field: enumeration and incidence."""
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -216,14 +215,7 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine3:
 
 
 def all_lines(field) -> list:
-    """Every line of PG(3,q) exactly once, in canonical RREF key order.
-
-    The lines are built once per field; each call returns a fresh list."""
-    return list(_all_lines(field))
-
-
-@lru_cache(maxsize=None)
-def _all_lines(field) -> tuple:
+    """Every line of PG(3,q) exactly once, in canonical RREF key order."""
     elems = list(field.elements())
     one, zero = field.one(), field.zero()
 
@@ -237,7 +229,7 @@ def _all_lines(field) -> tuple:
              for i, j in combinations(range(4), 2)
              for r0 in rows(i, [k for k in range(i + 1, 4) if k != j])
              for r1 in rows(j, range(j + 1, 4))]
-    return tuple(sorted(lines))
+    return sorted(lines)
 
 
 def collinear_classes(Z: PointSet) -> list:

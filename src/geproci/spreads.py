@@ -168,7 +168,7 @@ def verify_spread(S: PartialSpread) -> SpreadReport:
     through, meet = _incidence(ls)
     violations = [(ls[i], ls[j]) for i, m in enumerate(meet)
                   for j in _bit_indices(m >> (i + 1) << (i + 1))]
-    doubly = [p for p in sorted(through) for _ in range(through[p].bit_count() - 1)]
+    doubly = sorted(p for p, m in through.items() for _ in range(m.bit_count() - 1))
     uncovered = []
     q = S.field.size
     if len(through) < q ** 3 + q ** 2 + q + 1:  # some point of PG(3,q) is missing
@@ -355,7 +355,7 @@ def search_maximal_partial_spreads(
 class _LineTable(NamedTuple):
     lines: list   # all_lines(field), in key order
     index: dict   # line key -> position in `lines`
-    points: list  # per line: bitmask of its points, in key order
+    points: list  # per line: bitmask of its points, in `_incidence` order
     skew: list    # per line: bitmask of the lines skew to it
     meet: list    # per line: bitmask of the other lines meeting it
     npts: int
@@ -375,8 +375,8 @@ def _line_table(field) -> _LineTable:
         lines = all_lines(field)
         through, touching = _incidence(lines)
         points = [0] * len(lines)
-        for k, p in enumerate(sorted(through)):
-            for i in _bit_indices(through[p]):
+        for k, m in enumerate(through.values()):
+            for i in _bit_indices(m):
                 points[i] |= 1 << k
         full = (1 << len(lines)) - 1
         meet = [m ^ (1 << i) for i, m in enumerate(touching)]
