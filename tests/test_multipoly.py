@@ -1,5 +1,6 @@
 """Forms, evaluation/derivative conditions, kernels, coprimality."""
 import functools
+import hashlib
 import random
 
 import pytest
@@ -162,6 +163,52 @@ def test_coprime_certificate_function_field(F2):
     shared = x2 * y2
     w2 = coprime_certificate(shared, x2)
     assert isinstance(w2, CommonFactor)
+
+
+def _sparse_form(ring, rng, degree):
+    """A nonzero form whose pure powers are often missing, so that the
+    unsheared candidates are often unusable."""
+    F = ring.field
+    while True:
+        coeffs = {}
+        for e in monomials(3, degree):
+            if max(e) == degree and rng.random() < 0.6:
+                continue
+            if rng.random() < 0.5:
+                coeffs[e] = F.from_index(rng.randrange(1, F.size))
+        if coeffs:
+            return HomogeneousForm(ring, 3, degree, coeffs)
+
+
+# (field spec, pairs): the small fields need an extension for their scalar
+# pool once deg f * deg g + 1 > q; F_{7^12} never does
+_WITNESS_CORPUS = [("p=2", 50), ("p=3", 50), ("p=5", 50), ("p=7", 50),
+                   ("p=2;ext=2", 40), ("p=3;ext=2", 40), ("p=7;ext=12", 16)]
+WITNESS_CORPUS_SHA256 = "30826c8f7f5bf7d3ff765db0b04a98cb77ca42f0a9e4b1bc5f9baff9df7b7653"
+
+
+def test_coprimality_witnesses_are_pinned():
+    """The elimination variable, shear and note of every certificate over a
+    seeded corpus of random plane pairs, about a third with a planted
+    common factor, are pinned by hash: a rewrite of the search must find
+    the same witnesses in the same order."""
+    rows = []
+    for spec, n in _WITNESS_CORPUS:
+        ring = ScalarRing(parse_field_spec(spec))
+        rng = random.Random(spec)
+        for _ in range(n):
+            f = _sparse_form(ring, rng, rng.randint(1, 3))
+            g = _sparse_form(ring, rng, rng.randint(1, 4))
+            if rng.random() < 0.3:
+                h = _sparse_form(ring, rng, rng.randint(1, 2))
+                f, g = f * h, g * h
+            w = coprime_certificate(f, g)
+            rows.append((spec, type(w).__name__, w.variable, getattr(w, "shear", None), w.note))
+    sheared = sum(r[3] is not None for r in rows)
+    common = sum(r[1] == "CommonFactor" for r in rows)
+    assert (len(rows), sheared, common) == (296, 143, 116)
+    digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+    assert digest == WITNESS_CORPUS_SHA256
 
 
 # ---------------------------------------------------------------------------
