@@ -619,10 +619,13 @@ class FieldTower:
         return self.from_coeffs([self.base.lift_rep(sub, rep)])
 
     def spec_string(self) -> str:
-        if isinstance(self.base, PrimeField):
-            coeffs = ",".join(str(self.base.rep_to_index(c)) for c in self.modulus)
-            return f"p={self.base.p};mod={coeffs}"
-        return f"{self.base.spec_string()};ext={self.degree}"
+        """Read back by parse_field_spec: `;ext=d` for an auto-chosen layer
+        (d >= 2) over a tower, else `;mod=` and the modulus as base indices."""
+        base, d = self.base, self.degree
+        if base.base is not None and d > 1 and self.modulus == _smallest_irreducible(base, d):
+            return f"{base.spec_string()};ext={d}"
+        coeffs = ",".join(str(base.rep_to_index(c)) for c in self.modulus)
+        return f"{base.spec_string()};mod={coeffs}"
 
     def __eq__(self, other):
         return (

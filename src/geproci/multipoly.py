@@ -1,5 +1,5 @@
 """Homogeneous forms over a pluggable scalar ring, exact kernels,
-and coprimality certification via resultants.
+and coprimality certification on a pencil of lines.
 
 Scalars are either :class:`FieldElement` (a finite field F_q) or
 :class:`MultiPoly` (the polynomial ring F_q[a,b,c] of generic-point mode).
@@ -11,6 +11,8 @@ it multiplies field reps and wraps each value once.
 expands each power (A_i·u + B_i·s)^e by the binomial theorem, dropping the
 binomials that vanish mod p, and adds each of the form's scalars into one
 sum per coefficient of the binary result, all on field reps.
+:func:`coprime_certificate` restricts both curves to the lines of a
+pencil with it and takes the resultant of each pair of restrictions.
 :func:`condition_matrix` builds the condition matrix of
 (point, direction-or-None) entries: a point imposes its value, and a
 direction the derivative along it.  Finite-field matrices, condition
@@ -397,7 +399,7 @@ def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
     the smaller one is lifted."""
     ring = f.ring
     d = f.degree
-    E = _common_field([A[0].field, *(c.field for c in f.coeffs.values())])
+    E = _common_field([c.field for c in (*A, *B, *f.coeffs.values())])
     mul, add, is0, one = E.mul_rep, E.add_rep, E.rep_is_zero, E.one_rep
     line = [(_reps_in(E, a), _reps_in(E, b)) for a, b in zip(A, B)]
     powers: dict = {}  # (i, e) -> nonzero terms (j, rep) of (A_i·u + B_i·s)^e
@@ -651,26 +653,6 @@ class CommonFactor:
     note: str = ""
 
 
-def _shear_form(f: HomogeneousForm, var: int, other: int, t) -> HomogeneousForm:
-    """Substitute x_other -> x_other + t * x_var."""
-    ring = f.ring
-    out: dict = {}
-    for exps, c in f.coeffs.items():
-        e_o = exps[other]
-        for k in range(e_o + 1):
-            e = list(exps)
-            e[other] = e_o - k
-            e[var] += k
-            coeff = c * math.comb(e_o, k)
-            if k:
-                coeff = coeff * (t ** k)
-            key = tuple(e)
-            if scalar_is_zero(coeff):
-                continue
-            out[key] = out.get(key, ring.zero()) + coeff
-    return HomogeneousForm(ring, f.nvars, f.degree, out)
-
-
 def _univariate_resultant(a: list, b: list, ring: ScalarRing):
     """Resultant of two univariate polys over a finite field (coefficient
     lists, low-to-high): the determinant of their Sylvester matrix."""
@@ -690,21 +672,10 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
         for j, c in enumerate(reversed(b)):
             row[i + j] = c
         rows.append(row)
-    # a shear or test point may lie in an extension of ring.field
+    # a pencil center or test line may lie in an extension of ring.field
     E = _common_field(c.field for c in a + b)
     reps = [[_reps_in(E, c) for c in row] for row in rows]
     return FieldElement(E, row_reduce(E, reps)[2])
-
-
-def _specialize_line(f: HomogeneousForm, var: int, v_scalars):
-    """Restrict to x_i = u_i for the two non-`var` variables; poly in x_var."""
-    rest = [exps[:var] + exps[var + 1:] for exps in f.coeffs]
-    out = [f.ring.zero()] * (f.degree + 1)
-    for exps, c, r in zip(f.coeffs, f.coeffs.values(), evaluation_row(f.ring, v_scalars, rest)):
-        out[exps[var]] = out[exps[var]] + c * r
-    while out and scalar_is_zero(out[-1]):
-        out.pop()
-    return out
 
 
 def _specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
@@ -745,13 +716,17 @@ def _coprime_by_specialization(f: HomogeneousForm, g: HomogeneousForm):
 
 
 def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
-    """Certify gcd(f, g) is a unit (plane forms, 3 variables).
+    """Certify gcd(f, g) is a unit (plane forms, 3 variables) on a pencil
+    of lines.
 
-    Eliminates a variable in which both forms have full-degree leading
-    terms (after deterministic shears if necessary).  The resultant, a
-    binary form of degree deg(f)*deg(g), is nonzero iff it is nonzero at
-    one of deg(f)*deg(g)+1 distinct test points; either outcome is exact.
-    Over F_q[a,b,c] the resultant is decided through deterministic
+    Coprime curves of degrees a and b meet in at most D = ab points, so
+    among D + 1 lines through a center O off both curves one misses all of
+    them, and there the resultant of the two restrictions is nonzero.  A
+    common component meets every line, so every such resultant vanishes;
+    either outcome is exact.  The centers are tried in a fixed order: O is
+    1 at an elimination variable and (t1, t2), the shear, at the others;
+    the test lines join O to (0, 1, t) for D + 1 scalars t.  Over
+    F_q[a,b,c] the resultant is decided through deterministic
     specializations: a nonzero value is an exact certificate, and three
     vanishing specializations are reported as a common factor.
     """
@@ -763,68 +738,56 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
         return _coprime_by_specialization(f, g)
     ring = f.ring
     D = f.degree * g.degree
-    # one scalar pool for shears and resultant test points, so everything
-    # lives in a single common extension
+    # one scalar pool for centers and test lines, so everything lives in a
+    # single common extension
     pool = ring.distinct_scalars(max(3, D + 1))
-    # any D + 1 distinct points decide a degree-D binary form, so their
-    # order changes only how many determinants are taken; the first
-    # scalars of the pool are often roots (every rational point of Z is
-    # one), so the test points are tried from the top
+    # any D + 1 lines of the pencil decide, so their order changes only how
+    # many determinants are taken; the first scalars of the pool often give
+    # lines through a point of Z, so the test lines are tried from the top
     test_points = pool[D::-1]
     candidates = [(var, None) for var in range(3)]
     others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-    # simultaneous shears x_j -> x_j + t_j * x_var for both other variables;
-    # the sheared pure-power coefficient is the form's value at (1, t1, t2),
-    # so a candidate is usable once (1, t1, t2) is off both curves -- try
-    # whole rows of the pool before giving up
-    shear_pool = []
+    # sheared centers (1 at var, t1, t2): try whole rows of the pool before
+    # giving up on a variable
     for var in range(3):
         for t1 in pool[:3]:
             row = 0
             for t2 in pool:
                 if scalar_is_zero(t1) and scalar_is_zero(t2):
                     continue
-                shear_pool.append((var, (t1, t2)))
+                candidates.append((var, (t1, t2)))
                 row += 1
-                # with t1 fixed the points (1, t1, t2) run along a line,
-                # which meets f*g in at most deg f + deg g <= D + 1 points
+                # with t1 fixed the centers run along a line, which meets
+                # f*g in at most deg f + deg g <= D + 1 points
                 if row > D + 1:
                     break
-    candidates += shear_pool
 
     names = VAR_NAMES[:3]
+    zero, one = ring.zero(), ring.one()
     for var, shear in candidates:
-        # skip a candidate before shearing: its pure-power coefficient is
-        # the value at (1, t1, t2), 1 at position var, t1 = t2 = 0 unsheared
         o1, o2 = others[var]
-        t1, t2 = shear if shear is not None else (ring.zero(), ring.zero())
-        at = [None] * 3
-        at[var], at[o1], at[o2] = ring.one(), t1, t2
-        if scalar_is_zero(evaluate(f, at)) or scalar_is_zero(evaluate(g, at)):
+        t1, t2 = shear if shear is not None else (zero, zero)
+        O = [None] * 3
+        O[var], O[o1], O[o2] = one, t1, t2
+        if scalar_is_zero(evaluate(f, O)) or scalar_is_zero(evaluate(g, O)):
             continue
-        ff_, gg_ = f, g
-        shear_desc = None
-        if shear is not None:
-            ff_ = _shear_form(_shear_form(f, var, o1, t1), var, o2, t2)
-            gg_ = _shear_form(_shear_form(g, var, o1, t1), var, o2, t2)
-            shear_desc = (names[var], _scalar_str(t1), _scalar_str(t2))
-        # the pure-power coefficients are nonzero constants, so the
-        # specialized degrees never drop and each evaluation below equals
-        # the degree-D binary resultant form at the point (1, t)
-        found_nonzero = False
+        # on the line through B = (0 at var, 1, t) and O, f(B + s·O) is read
+        # low to high in s; its top coefficient f(O) is nonzero, so no
+        # degree drops and the determinant is the line's resultant
+        B = [None] * 3
+        B[var], B[o1] = zero, one
         for t in test_points:
-            a = _specialize_line(ff_, var, [ring.one(), t])
-            b = _specialize_line(gg_, var, [ring.one(), t])
-            r = _univariate_resultant(a, b, ring)
-            if not scalar_is_zero(r):
-                found_nonzero = True
-                break
-        if found_nonzero:
-            return CoprimalityWitness(
-                variable=names[var], shear=shear_desc, resultant_nonzero=True
-            )
-        # a nonzero degree-D binary form has at most D projective roots,
-        # so vanishing at D+1 distinct points forces the resultant to be 0
+            B[o2] = t
+            a = restrict_to_line(f, B, O).coeff_vector()
+            b = restrict_to_line(g, B, O).coeff_vector()
+            if not scalar_is_zero(_univariate_resultant(a, b, ring)):
+                shear_desc = None
+                if shear is not None:
+                    shear_desc = (names[var], _scalar_str(t1), _scalar_str(t2))
+                return CoprimalityWitness(
+                    variable=names[var], shear=shear_desc, resultant_nonzero=True
+                )
+        # D + 1 lines through a center off both curves all meet them
         return CommonFactor(
             variable=names[var],
             note="resultant vanishes identically",

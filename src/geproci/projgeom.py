@@ -340,11 +340,11 @@ def write_point_set(Z: PointSet) -> str:
 
 
 def _parse_coord(field, token: str):
-    token = token.strip()
-    if token.startswith("(") and token.endswith(")"):
-        coeffs = [int(t) for t in token[1:-1].split()]
-        return field.element(coeffs)
-    return field.from_index(int(token))
+    """The field element whose canonical index, in [0, q), `token` names."""
+    i = int(token) if token.strip().isdecimal() else -1
+    if not 0 <= i < field.size:
+        raise GeometryError(f"coordinate {token.strip()!r} is not an index in [0, {field.size})")
+    return field.from_index(i)
 
 
 def _read_header(text: str, kind: str):

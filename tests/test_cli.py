@@ -104,6 +104,25 @@ def test_headers_of_point_files_need_a_dim_and_spread_headers_do_not(F4):
     assert read_spread(write_spread(S)) == S
 
 
+@pytest.mark.parametrize("coord", ["3", "5", "-1", "(1 1)", "x", ""])
+def test_point_file_coordinates_are_indices_in_range(tmp_path, capsys, coord):
+    # over F_3 a coordinate is one of the indices 0, 1, 2; anything else,
+    # a coefficient list included, is rejected by every reader
+    with pytest.raises(GeometryError, match="not an index in"):
+        read_point_set(f"field: p=3; dim: 3\n1,0,0,{coord}\n")
+    with pytest.raises(GeometryError, match="not an index in"):
+        read_spread(f"field: p=3\n1,0,0,0|0,1,0,{coord}\n")
+    with pytest.raises(GeometryError, match="not an index in"):
+        read_scheme(f"field: p=3; dim: 3\nsimple: 1,{coord},0,0\n")
+    src, out_path = tmp_path / "bad.points", tmp_path / "r.json"
+    src.write_text(f"field: p=3; dim: 3\n1,0,0,0\n0,1,0,{coord}\n")
+    code = main(["--out", str(out_path), "hilbert", str(src), "--degree", "2"])
+    capsys.readouterr()
+    assert code == 1
+    assert json.loads(out_path.read_text())["error"]["type"] == "GeometryError"
+    assert read_point_set("field: p=3; dim: 3\n1, 0 ,2,0\n").points[0].coords[2].index == 2
+
+
 def test_complement_count(capsys, tmp_path):
     dest = tmp_path / "z.points"
     code, out = run(capsys, "complement", f"{FIXDIR}/mps7-q3.spread",

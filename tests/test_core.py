@@ -368,20 +368,20 @@ def test_certification_computes_only_the_kernels_it_reads(monkeypatch, mps7_q3, 
 
 def test_coprime_certificate_shears_only_the_usable_candidate(monkeypatch, forty_points_q7):
     # the cone pair of the 40-point set has no pure powers and its first
-    # shear scalars are F_7-rational, so several candidates are unusable;
-    # they are skipped by one evaluation each, and only the chosen one is
-    # sheared: 2 forms x 2 shears
+    # shear scalars are F_7-rational, so several pencil centers lie on a
+    # curve; they are skipped by one evaluation each, and only the chosen
+    # center's first test line is restricted to: one line per form
     calls = []
-    shear = multipoly._shear_form
+    restrict = multipoly.restrict_to_line
 
     def counting(*args):
         calls.append(args)
-        return shear(*args)
+        return restrict(*args)
 
-    monkeypatch.setattr(multipoly, "_shear_form", counting)
+    monkeypatch.setattr(multipoly, "restrict_to_line", counting)
     v = core.geproci_check(forty_points_q7, 5, 8, mode="random", seed=0, trials=1)
     assert v.geproci
-    assert len(calls) == 4
+    assert len(calls) == 2
     witness = v.certificate.coprimality
     assert (witness.variable, witness.shear) == ("x", ("x", "0", "7"))
 

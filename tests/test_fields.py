@@ -115,6 +115,18 @@ def test_spec_string_roundtrip():
         assert G.size == F.size and G.char == F.char
 
 
+def test_spec_string_names_an_explicit_modulus_over_a_tower():
+    # two F_16 towers over F_4 with different moduli must not share a spec
+    # string (spread line tables are cached by it), nor a degree-1 layer
+    # over F_4 with F_4; an auto-chosen layer keeps its `ext=d`
+    towers = [make_field(2, [2, [1, 2, 1]]), make_field(2, [2, [1, 3, 1]])]
+    assert towers[0] != towers[1]
+    for F in towers + [make_field(2, [2, [0, 1]])]:
+        assert parse_field_spec(F.spec_string()) == F
+    assert towers[0].spec_string() != towers[1].spec_string()
+    assert parse_field_spec("p=2;ext=2;ext=2").spec_string() == "p=2;mod=1,1,1;ext=2"
+
+
 def test_degree_over_prime():
     assert field_degree_over_prime(parse_field_spec("p=2;ext=2;ext=3")) == 6
 

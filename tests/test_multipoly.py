@@ -15,7 +15,6 @@ from geproci.multipoly import (
     HomogeneousForm,
     ScalarRing,
     ZeroInput,
-    _specialize_line,
     condition_matrix,
     coprime_certificate,
     derivative_row,
@@ -275,14 +274,6 @@ def test_evaluation_layer_matches_sympy(spec, names):
         for m, r in zip(monos, derivative_row(ring, pt, v, monos)):
             assert _same(_sym(r), along_v(sympy.prod(x ** e for x, e in zip(_XYZ, m))), p)
 
-        var = rng.randrange(3)
-        u = [_random_scalar(ring, rng) for _ in range(2)]
-        others = [x for i, x in enumerate(_XYZ) if i != var]
-        coeffs = _specialize_line(f, var, u)
-        assert not coeffs or not scalar_is_zero(coeffs[-1])
-        ours = sum(_sym(c) * _XYZ[var] ** k for k, c in enumerate(coeffs))
-        assert _same(ours, f_sym.subs(dict(zip(others, map(_sym, u)))), p)
-
         A = [F.from_index(rng.randrange(F.size)) for _ in range(3)]
         B = [F.from_index(rng.randrange(F.size)) for _ in range(3)]
         g = restrict_to_line(f, A, B)
@@ -382,6 +373,21 @@ def test_restrict_to_line_matches_the_product_expansion(spec):
                     want = f.map_coefficients(lambda c: MultiPoly(
                         E, c.names, {k: E.lift_rep(F, v) for k, v in c.terms.items()}))
                 assert got == _restrict_by_products(want, A, B)
+
+
+def test_restrict_to_line_reads_its_field_from_every_entry(F3):
+    # a pencil's test line starts at a point whose first entries are 0 and
+    # 1 of F_q, while its last entry and the center may lie in the
+    # extension of the scalar pool
+    E = extend_field(F3, 2)
+    ring = ScalarRing(F3)
+    rng = random.Random(9)
+    A = [F3.zero(), F3.one(), E.from_index(5)]
+    B = [F3.one(), E.from_index(4), E.from_index(7)]
+    lift = lambda row: [FieldElement(E, E.lift_rep(c.field, c.rep)) for c in row]
+    for d in (1, 2, 3, 4):
+        f = _random_form(ring, rng, d)
+        assert restrict_to_line(f, A, B) == _restrict_by_products(f, lift(A), lift(B))
 
 
 @pytest.mark.parametrize("spec", ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2"])
