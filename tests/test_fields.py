@@ -22,6 +22,7 @@ from geproci.fields import (
     smallest_irreducible,
 )
 from geproci.multipoly import ScalarRing, _univariate_resultant
+from oracles import gauss_jordan
 
 TOWERS = ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2", "p=2;ext=2;ext=2"]
 
@@ -363,6 +364,52 @@ def test_row_reduce_edge_inputs(spec):
     dup = [[one, x], [one, x]]
     assert row_reduce(E, dup) == ([0], [[one, x]], z)
     assert row_reduce(E, [[z, one], [one, z]]) == ([0, 1], [[one, z], [z, one]], E.neg_rep(one))
+
+
+def _cofactor_det(E, rows):
+    """Determinant of a square rep matrix by cofactor expansion on row 0."""
+    if not rows:
+        return E.one_rep
+    det = E.zero_rep
+    for j, a in enumerate(rows[0]):
+        minor = _cofactor_det(E, [r[:j] + r[j + 1:] for r in rows[1:]])
+        term = E.mul_rep(a, minor)
+        det = E.sub_rep(det, term) if j & 1 else E.add_rep(det, term)
+    return det
+
+
+def _gauss_jordan_cases(E, rng):
+    """Seeded matrices of the shapes row_reduce meets, and its edge cases."""
+    def invertible(n):
+        while True:
+            rows = _random_matrix(E, rng, n, n)
+            if len(gauss_jordan(E, rows)[0]) == n:
+                return rows
+
+    cases = [_random_matrix(E, rng, 40, 21, 20), _random_matrix(E, rng, 40, 45, 34),
+             _random_matrix(E, rng, 5, 12), _random_matrix(E, rng, 6, 8, 1)]
+    cases += [invertible(n) for n in (1, 2, 3, 4, 7)]
+    cases += [_random_matrix(E, rng, n, n, n - 1) for n in (2, 3, 4, 7)]
+    rows = _random_matrix(E, rng, 5, 6, 4)
+    rows.insert(2, [E.zero_rep] * 6)
+    rows.insert(4, list(rows[0]))
+    rows.append(list(rows[3]))
+    cases.append(rows)  # zero and repeated rows
+    for n, m in ((6, 6), (4, 4), (3, 5)):
+        rows = _random_matrix(E, rng, n, m)
+        cases.append([[E.zero_rep] + r[1:] for r in rows])  # a zero first column
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=7", "p=2;ext=2", "p=3;ext=2", *PACKED])
+def test_row_reduce_matches_gauss_jordan(spec):
+    E = parse_field_spec(spec)
+    rng = random.Random(spec)
+    for rows in _gauss_jordan_cases(E, rng):
+        got = row_reduce(E, rows)
+        assert got == gauss_jordan(E, rows)
+        if len(rows) == len(rows[0]) <= 4:
+            assert got[2] == _cofactor_det(E, rows)
 
 
 def _reference_det(rows):
