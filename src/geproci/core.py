@@ -47,7 +47,7 @@ from .multipoly import (
     restrict_to_line,
     scalar_is_zero,
 )
-from .projgeom import GeometryError, PointSet, ProjectivePoint, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
+from .projgeom import GeometryError, PointSet, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
 
 
 class CoreError(Exception):
@@ -180,10 +180,13 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
 def _first_collision(ring: ScalarRing, images: list):
     """The first pair (i, j), i < j in index order, of coinciding images.
 
-    Over a finite field each image is normalized as a ProjectivePoint and
-    a repeat found by hashing; the zero image (of the center itself)
-    coincides with every other.  Polynomial images cannot be normalized,
-    so they are compared pairwise by 2×2 minors.
+    Over a finite field each image is normalized so that its first nonzero
+    entry is 1, the key of its ProjectivePoint, and a repeat is found by
+    hashing.  All leads are inverted at once (Montgomery's trick): one
+    inversion of the product of the leads, then each lead's inverse by
+    back-substitution through the prefix products.  The zero image (of
+    the center itself) coincides with every other.  Polynomial images
+    cannot be normalized, so they are compared pairwise by 2×2 minors.
     """
     if not ring.finite:
         for i in range(len(images)):
@@ -191,15 +194,26 @@ def _first_collision(ring: ScalarRing, images: list):
                 if proportional(images[i], images[j]):
                     return i, j
         return None
+    F = ring.field
+    mul, is_zero = F.mul_rep, F.rep_is_zero
+    reps = [[F.element(c).rep for c in img] for img in images]
+    leads = [next((x for x in r if not is_zero(x)), None) for r in reps]
+    prefix = [F.one_rep]  # prefix[j]: the product of the leads before image j
+    for lead in leads:
+        prefix.append(prefix[-1] if lead is None else mul(prefix[-1], lead))
+    inv = F.inv_rep(prefix[-1])
+    keys = [None] * len(reps)
+    for j in reversed(range(len(reps))):
+        if leads[j] is not None:  # inv is 1 / prefix[j + 1] here
+            inv_j = mul(inv, prefix[j])
+            keys[j] = tuple(mul(x, inv_j) for x in reps[j])
+            inv = mul(inv, leads[j])
     first, pairs = {}, []
-    for j, img in enumerate(images):
-        try:
-            key = ProjectivePoint(ring.field, img).reps
-        except GeometryError:
+    for j, key in enumerate(keys):
+        if key is None:
             if len(images) > 1:
                 pairs.append((0, j or 1))
-            continue
-        if key in first:
+        elif key in first:
             pairs.append((first[key], j))
         else:
             first[key] = j

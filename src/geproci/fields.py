@@ -19,11 +19,18 @@ each canonical in [0, p) (see `_Packing`).  A product is one int product
 folded back below the modulus degree by its high part times the modulus
 tail; a sum or a product is then brought back to canonical slots by one
 Barrett step that reduces every slot mod p at once.  The inverse runs the
-extended Euclidean algorithm on the unpacked int coefficients mod p, and
-`row_reduce`, the one finite-field row reduction, works on the packed
-ints directly.  The same packed products give the powers x^(p^k) of
-Rabin's irreducibility test, which picks each layer's modulus.  Element
-indices, spec strings and point files are the same for every rep.
+extended Euclidean algorithm on the unpacked int coefficients mod p.  The
+same packed products give the powers x^(p^k) of Rabin's irreducibility
+test, which picks each layer's modulus.  Element indices, spec strings
+and point files are the same for every rep.
+
+`row_reduce`, the one finite-field row reduction, inserts the rows in
+order into the RREF basis of the rows before them, one inversion per
+pivot; a square invertible matrix's determinant is the product of the
+leads times the sign of the row-to-pivot permutation.  Over a packed
+layer it works on the packed ints directly: each update adds a canonical
+multiplier times a canonical basis entry to a canonical cell, so one
+Barrett step keeps every slot in bound (see `_Packing`).
 
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
@@ -786,102 +793,130 @@ def row_reduce(F, rows):
 
     Returns (pivots, reduced, det): the pivot columns, the nonzero rows of
     the RREF as lists of reps, and the determinant, which is the zero rep
-    unless the matrix is square and invertible.  Each pivot is the first
-    nonzero entry of its column at or below the current row.  The RREF is
-    unique, so both paths below give the same result.
+    unless the matrix is square and invertible.  Raises FieldError on rows
+    of unequal length.
+
+    The rows are inserted in order into the RREF basis of the rows before
+    them.  A row is reduced against every basis row, which touches only
+    the columns that are not yet pivots; a nonzero remainder is divided by
+    its lead, its pivot column is cleared from the earlier basis rows, and
+    it joins the basis.  Rows beyond the rank of a tall matrix thus meet a
+    basis with few free entries.  Each remainder is its row minus a
+    combination of the rows before it, and it is zero at the earlier pivot
+    columns, so for a square invertible matrix det is the product of the
+    leads times the sign of the row-to-pivot-column permutation.  The RREF
+    is unique, so both paths below give the same result.  The packed path
+    keeps the slot bound of `_Packing`: every update is a canonical
+    multiplier times a canonical basis entry, added to a canonical cell,
+    with one Barrett step.
     """
-    if F.packed is not None:
-        return _row_reduce_packed(F, rows)
-    return _row_reduce_loop(F, rows)
-
-
-def _det_of(F, nrows, ncols, pivvals, swaps):
-    if not nrows == ncols == len(pivvals):
-        return F.zero_rep
-    det = F.one_rep
-    for v in pivvals:
-        det = F.mul_rep(det, v)
-    return F.neg_rep(det) if swaps & 1 else det
-
-
-def _row_reduce_loop(F, rows):
-    """Gauss-Jordan on reps through F's own add/mul/inv."""
-    rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    pivots, pivvals, swaps = [], [], 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not F.rep_is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
+    if any(len(row) != ncols for row in rows):
+        raise FieldError("rows of unequal length")
+    if F.packed is not None:
+        basis, leads = _row_reduce_packed(F, rows, ncols)
+    else:
+        basis, leads = _row_reduce_loop(F, rows, ncols)
+    order = [c for c, _ in basis]
+    basis.sort(key=lambda cb: cb[0])
+    pivots, reduced = [c for c, _ in basis], [b for _, b in basis]
+    if not len(rows) == ncols == len(leads):
+        return pivots, reduced, F.zero_rep
+    det = F.one_rep
+    for v in leads:
+        det = F.mul_rep(det, v)
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return pivots, reduced, F.neg_rep(det) if swaps & 1 else det
+
+
+def _row_reduce_loop(F, rows, ncols):
+    """Row insertion on reps through F's own add/mul/inv.  Returns the
+    (pivot column, row) basis and the leads, both in insertion order."""
+    zero, one, is_zero, sub, mul = F.zero_rep, F.one_rep, F.rep_is_zero, F.sub_rep, F.mul_rep
+    basis, leads, free = [], [], list(range(ncols))
+    for row in rows:
+        r = list(row)
+        for c, b in basis:
+            f = r[c]
+            if not is_zero(f):
+                for j in free:
+                    y = b[j]
+                    if not is_zero(y):
+                        r[j] = sub(r[j], mul(f, y))
+        c = next((j for j in free if not is_zero(r[j])), None)
+        if c is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            swaps += 1
-        pivvals.append(rows[r][c])
-        inv = F.inv_rep(rows[r][c])
-        rows[r] = [F.mul_rep(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not F.rep_is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub_rep(x, F.mul_rep(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, rows[:r], _det_of(F, len(rows), ncols, pivvals, swaps)
+        leads.append(r[c])
+        inv = F.inv_rep(r[c])
+        free.remove(c)
+        nz = [(j, mul(r[j], inv)) for j in free if j > c and not is_zero(r[j])]
+        for _, b in basis:
+            v = b[c]
+            if not is_zero(v):
+                b[c] = zero
+                for j, y in nz:
+                    b[j] = sub(b[j], mul(v, y))
+        r = [zero] * ncols
+        r[c] = one
+        for j, y in nz:
+            r[j] = y
+        basis.append((c, r))
+    return basis, leads
 
 
-def _row_reduce_packed(F, rows):
-    """Gauss-Jordan on the packed reps of a large prime-base layer.
+def _row_reduce_packed(F, rows, ncols):
+    """Row insertion on the packed reps of a large prime-base layer.
 
-    A row update adds f * y, folded, to each cell, where f is the negated
-    row multiplier and y the scaled pivot row, and reduces the sum by one
-    Barrett step: f, y and the cell are canonical, so every slot of the
-    sum is below 2^W, the bound of `_Packing.reduce`.  Every cell stays
-    canonical, and a pivot test is a test for zero.  Zero cells of the
-    pivot row are skipped.
+    An update adds f * y, folded, to a cell, where f is the negated
+    multiplier and y an entry of a normalized basis row, and reduces the
+    sum by one Barrett step: f, y and the cell are canonical, so every
+    slot of the sum is below 2^W, the bound of `_Packing.reduce`.  Every
+    cell stays canonical, and a zero test is a test of the int.
     """
     K = F.packed
     mul, neg, folds = K.mul, K.neg, K.folds
     low, nS, tail, m, k, qmask, p = K.low, K.nS, K.tail, K.m, K.k, K.qmask, K.p
-    M = [list(row) for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    pivots, pivvals, swaps = [], [], 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if M[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            swaps += 1
-        prow = M[r]
-        pivvals.append(prow[c])
-        inv = F.inv_rep(prow[c])
-        prow[c] = 1
-        nonzero = []
-        for j in range(c + 1, ncols):
-            if prow[j]:
-                prow[j] = mul(prow[j], inv)
-                nonzero.append((j, prow[j]))
-        for i, row in enumerate(M):
-            v = row[c]
-            if i == r or not v:
+    basis, leads, free = [], [], list(range(ncols))
+    for row in rows:
+        r = list(row)
+        for c, b in basis:
+            v = r[c]
+            if not v:
                 continue
-            row[c] = 0
             f = neg(v)
-            for j, y in nonzero:  # the fold of K.mul and K.reduce, inline
+            for j in free:
+                y = b[j]
+                if y:  # the fold of K.mul and K.reduce, inline
+                    t = f * y
+                    for _ in folds:
+                        t = (t & low) + (t >> nS) * tail
+                    t += r[j]
+                    r[j] = t - (((t * m) >> k) & qmask) * p
+        c = next((j for j in free if r[j]), None)
+        if c is None:
+            continue
+        leads.append(r[c])
+        inv = F.inv_rep(r[c])
+        free.remove(c)
+        nz = [(j, mul(r[j], inv)) for j in free if j > c and r[j]]
+        for _, b in basis:
+            v = b[c]
+            if not v:
+                continue
+            b[c] = 0
+            f = neg(v)
+            for j, y in nz:
                 t = f * y
                 for _ in folds:
                     t = (t & low) + (t >> nS) * tail
-                t += row[j]
-                row[j] = t - (((t * m) >> k) & qmask) * p
-        pivots.append(c)
-        r += 1
-    return pivots, M[:r], _det_of(F, nrows, ncols, pivvals, swaps)
+                t += b[j]
+                b[j] = t - (((t * m) >> k) & qmask) * p
+        r = [0] * ncols
+        r[c] = 1
+        for j, y in nz:
+            r[j] = y
+        basis.append((c, r))
+    return basis, leads
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,18 @@ class ProjectiveLine3:
         _, reduced, _ = row_reduce(field, rep_rows)
         if len(reduced) != 2:
             raise GeometryError("line requires a rank-2 spanning set")
+        self._set_rows(field, reduced)
+
+    @classmethod
+    def _from_rref(cls, field, rows):
+        """The line of two rows of reps that are already its 2x4 RREF."""
+        line = cls.__new__(cls)
+        line._set_rows(field, rows)
+        return line
+
+    def _set_rows(self, field, rows):
         self.field = field
-        self.rows = (tuple(reduced[0]), tuple(reduced[1]))
+        self.rows = (tuple(rows[0]), tuple(rows[1]))
         self._points = None
         self._key = tuple(field.rep_to_index(c) for row in self.rows for c in row)
 
@@ -216,8 +226,8 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine3:
 
 def all_lines(field) -> list:
     """Every line of PG(3,q) exactly once, in canonical RREF key order."""
-    elems = list(field.elements())
-    one, zero = field.one(), field.zero()
+    elems = [e.rep for e in field.elements()]
+    one, zero = field.one_rep, field.zero_rep
 
     def rows(pivot, free):
         """Every row with 1 at `pivot`, any values at `free` and 0 elsewhere."""
@@ -225,7 +235,7 @@ def all_lines(field) -> list:
                 for vals in product(elems, repeat=len(free))]
 
     # RREF with pivots i < j: free entries right of each pivot, none above j
-    lines = [ProjectiveLine3(field, [r0, r1])
+    lines = [ProjectiveLine3._from_rref(field, [r0, r1])
              for i, j in combinations(range(4), 2)
              for r0 in rows(i, [k for k in range(i + 1, 4) if k != j])
              for r1 in rows(j, range(j + 1, 4))]

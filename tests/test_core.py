@@ -179,6 +179,62 @@ def test_random_projection_from_a_point_of_the_set(F3):
             core.project(Z, P)
 
 
+def _first_collision_by_points(field, images):
+    """The first coinciding pair, one ProjectivePoint normalization per image."""
+    first, pairs = {}, []
+    for j, img in enumerate(images):
+        try:
+            key = ProjectivePoint(field, img).reps
+        except projgeom.GeometryError:
+            if len(images) > 1:
+                pairs.append((0, j or 1))
+            continue
+        if key in first:
+            pairs.append((first[key], j))
+        else:
+            first[key] = j
+    return min(pairs, default=None)
+
+
+@pytest.mark.parametrize("spec,m", [("p=7", 1), ("p=7", 12)])
+def test_first_collision_matches_per_image_normalization(spec, m):
+    F = parse_field_spec(spec)
+    E = extend_field(F, m) if m > 1 else F
+    ring = ScalarRing(E)
+    rng = random.Random(m)
+    zero = E.zero()
+
+    def image():
+        img = [E.from_index(rng.randrange(E.size)) for _ in range(3)]
+        for k in range(rng.randrange(3)):  # leads at every position
+            img[k] = zero
+        return img if any(not c.is_zero() for c in img) else image()
+
+    cases = [[], [[zero] * 3], [image()]]
+    for n in (2, 5, 12, 30):
+        for planted in range(4):
+            images = [image() for _ in range(n)]
+            for _ in range(planted):  # a nonzero multiple of an earlier image
+                i, j = sorted(rng.sample(range(n), 2))
+                s = E.from_index(rng.randrange(1, E.size))
+                images[j] = [s * c for c in images[i]]
+            cases.append(images)
+            cases.append([[zero] * 3] + images)
+            cases.append(images[:n // 2] + [[zero] * 3] + images[n // 2:])
+    found = [core._first_collision(ring, images) for images in cases]
+    assert found == [_first_collision_by_points(E, images) for images in cases]
+    assert any(f is None for f in found) and any(f not in (None, (0, 1)) for f in found)
+
+
+def test_projection_makes_one_inversion(forty_points_q7, monkeypatch):
+    P = core.GeneralPoint.random(forty_points_q7.field, seed=0)
+    E, calls = P.ring.field, []
+    inv_rep = E.inv_rep
+    monkeypatch.setattr(E, "inv_rep", lambda a: calls.append(a) or inv_rep(a))
+    assert core.project(forty_points_q7, P).length == 40
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("center", [(1, 1, 1, 1), (1, 2, 0, 1), (0, 0, 1, 1)])
 def test_random_projection_names_the_first_collision(P3F3, center):
     # a rational center: many images coincide, and its own image is zero

@@ -317,7 +317,7 @@ def test_row_reduce_packed_matches_loop(spec, shape):
     for rank in (None, min(shape) - 2, 1):
         rows = _random_matrix(E, rng, nrows, ncols, rank)
         got = row_reduce(E, rows)
-        assert got == fields._row_reduce_loop(E, rows)
+        assert got == gauss_jordan(E, rows)
         assert len(got[0]) == (min(shape) if rank is None else rank)
 
 
@@ -328,7 +328,7 @@ def test_row_reduce_packed_matches_loop_at_kernel_shapes(spec):
     rng = random.Random(7)
     for nrows, ncols, rank in ((40, 21, 20), (40, 45, 34)):
         rows = _random_matrix(E, rng, nrows, ncols, rank)
-        assert row_reduce(E, rows) == fields._row_reduce_loop(E, rows)
+        assert row_reduce(E, rows) == gauss_jordan(E, rows)
 
 
 @pytest.mark.parametrize("spec", PACKED)
@@ -338,7 +338,7 @@ def test_row_reduce_worst_case_slots(spec):
     # all entries p - 1 at the largest shape used: rank 1
     rows = [[m] * 45 for _ in range(40)]
     got = row_reduce(E, rows)
-    assert got == fields._row_reduce_loop(E, rows) and got[0] == [0]
+    assert got == gauss_jordan(E, rows) and got[0] == [0]
     # a cell that takes min(rows, cols) - 1 folded products m * m on top of m
     # with no reduction in between: rows e_i | m over rows -m ... -m | m
     k = 39
@@ -346,7 +346,7 @@ def test_row_reduce_worst_case_slots(spec):
     rows = [[E.one_rep if j == i else E.zero_rep for j in range(k)] + [m] for i in range(k)]
     rows.append([neg] * k + [m])
     got = row_reduce(E, rows)
-    assert got == fields._row_reduce_loop(E, rows)
+    assert got == gauss_jordan(E, rows)
     want = E.add_rep(m, E.mul_rep(E.index_to_rep(k % E.char), E.mul_rep(m, m)))
     assert got[2] == want  # det: the last pivot, m + k m^2
 
@@ -360,7 +360,7 @@ def test_row_reduce_edge_inputs(spec):
     x = E.from_index(E.size - 2).rep
     single = row_reduce(E, [[z, x, x]])
     assert single == ([1], [[z, one, one]], z)
-    assert single == fields._row_reduce_loop(E, [[z, x, x]])
+    assert single == gauss_jordan(E, [[z, x, x]])
     dup = [[one, x], [one, x]]
     assert row_reduce(E, dup) == ([0], [[one, x]], z)
     assert row_reduce(E, [[z, one], [one, z]]) == ([0, 1], [[one, z], [z, one]], E.neg_rep(one))
@@ -410,6 +410,14 @@ def test_row_reduce_matches_gauss_jordan(spec):
         assert got == gauss_jordan(E, rows)
         if len(rows) == len(rows[0]) <= 4:
             assert got[2] == _cofactor_det(E, rows)
+
+
+@pytest.mark.parametrize("spec", ["p=7", "p=7;ext=12"])
+def test_row_reduce_rejects_rows_of_unequal_length(spec):
+    E = parse_field_spec(spec)
+    for rows in ([[1, 2, 3], [2, 4, 6, 1]], [[1, 2], [3, 4, 5]], [[1, 2, 3], [3, 4]]):
+        with pytest.raises(FieldError, match="unequal length"):
+            row_reduce(E, [[E.element(x).rep for x in row] for row in rows])
 
 
 def _reference_det(rows):

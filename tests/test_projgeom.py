@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from geproci import projgeom
+from geproci.fields import FieldElement, parse_field_spec
 from geproci.projgeom import (
     EqualPoints,
     PointSet,
+    ProjectiveLine3,
     ProjectivePoint,
     all_lines,
     collinear_classes,
@@ -513,3 +516,19 @@ def test_partition_into_lines_matches_the_oracle(cover_inputs, forty_points_q7):
             _assert_line_partition(Z, got)
             found += 1
     assert found >= 8
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2", "p=5"])
+def test_all_lines_trusts_its_rref_rows(spec, monkeypatch):
+    F = parse_field_spec(spec)
+
+    def no_reduction(*args):
+        raise AssertionError("all_lines row-reduced a line")
+
+    monkeypatch.setattr(projgeom, "row_reduce", no_reduction)
+    lines = all_lines(F)
+    monkeypatch.undo()
+    public = [ProjectiveLine3(F, [[FieldElement(F, c) for c in row] for row in L.rows])
+              for L in lines]
+    assert [L.key() for L in lines] == [L.key() for L in public]
+    assert lines == public and len(lines) == (F.size ** 2 + 1) * (F.size ** 2 + F.size + 1)
