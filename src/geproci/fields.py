@@ -810,23 +810,22 @@ def row_reduce(F, rows):
     multiplier times a canonical basis entry, added to a canonical cell,
     with one Barrett step.
     """
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
         raise FieldError("rows of unequal length")
-    if F.packed is not None:
-        basis, leads = _row_reduce_packed(F, rows, ncols)
-    else:
-        basis, leads = _row_reduce_loop(F, rows, ncols)
-    order = [c for c, _ in basis]
-    basis.sort(key=lambda cb: cb[0])
-    pivots, reduced = [c for c, _ in basis], [b for _, b in basis]
-    if not len(rows) == ncols == len(leads):
-        return pivots, reduced, F.zero_rep
-    det = F.one_rep
-    for v in leads:
-        det = F.mul_rep(det, v)
-    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return pivots, reduced, F.neg_rep(det) if swaps & 1 else det
+    ncols = lengths.pop() if lengths else 0
+    kernel = _row_reduce_loop if F.packed is None else _row_reduce_packed
+    basis, leads = kernel(F, rows, ncols)
+    det = F.zero_rep
+    if len(rows) == ncols == len(leads):
+        det = F.one_rep
+        for v in leads:
+            det = F.mul_rep(det, v)
+        order = [c for c, _ in basis]
+        if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1:
+            det = F.neg_rep(det)
+    basis.sort()  # by pivot column; no two are equal
+    return [c for c, _ in basis], [b for _, b in basis], det
 
 
 def _row_reduce_loop(F, rows, ncols):
