@@ -806,9 +806,7 @@ def row_reduce(F, rows):
     columns, so for a square invertible matrix det is the product of the
     leads times the sign of the row-to-pivot-column permutation.  The RREF
     is unique, so both paths below give the same result.  The packed path
-    keeps the slot bound of `_Packing`: every update is a canonical
-    multiplier times a canonical basis entry, added to a canonical cell,
-    with one Barrett step.
+    keeps the slot bound of `_Packing` (see `_row_reduce_packed`).
     """
     lengths = set(map(len, rows))
     if len(lengths) > 1:

@@ -222,7 +222,8 @@ def test_field_elements_never_equal_ints(spec):
 
 
 # ---------------------------------------------------------------------------
-# row_reduce: the packed path of the large prime-base layers against the loop
+# row_reduce: the packed path of the large prime-base layers against
+# Gauss-Jordan (tests/oracles.py)
 
 PACKED = ["p=7;ext=12", "p=3;ext=20", "p=2;ext=31",
           "p=3;mod=2,1,2,2,1,2,1,1,1,1,2,1"]  # dense modulus: n - 1 = 10 folds
