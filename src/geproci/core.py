@@ -47,7 +47,7 @@ from .multipoly import (
     restrict_to_line,
     scalar_is_zero,
 )
-from .projgeom import GeometryError, PointSet, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
+from .projgeom import PointSet, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
 
 
 class CoreError(Exception):
