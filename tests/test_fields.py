@@ -22,6 +22,7 @@ from geproci.fields import (
     smallest_irreducible,
 )
 from geproci.multipoly import ScalarRing, _univariate_resultant
+import oracles
 from oracles import gauss_jordan
 
 TOWERS = ["p=2", "p=3", "p=5", "p=2;ext=2", "p=3;ext=2", "p=2;ext=2;ext=2"]
@@ -703,3 +704,58 @@ def test_multipoly_scalar_arithmetic_matches_constant_polynomials(spec):
         assert (f - s).terms == (f - k).terms
         assert (s - f).terms == (k - f).terms
         assert (f - f + s).terms == k.terms
+
+
+def _random_terms(F, rng, maxdeg=6):
+    """A terms dict of 1 to 40 random monomials in (a, b, c) of degree at
+    most maxdeg, with random nonzero reps."""
+    W, terms = fields.EXP_BITS, {}
+    for _ in range(rng.randint(1, 40)):
+        d = rng.randint(0, maxdeg)
+        i = rng.randint(0, d)
+        j = rng.randint(0, d - i)
+        terms[d << 3 * W | i << 2 * W | j << W | (d - i - j)] = F.index_to_rep(rng.randrange(1, F.size))
+    return terms
+
+
+def _assert_canonical(F, f):
+    for v in f.terms.values():
+        assert not F.rep_is_zero(v)
+        assert F.index_to_rep(F.rep_to_index(v)) == v
+        assert type(v) is type(F.one_rep)
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=7", "p=2;ext=2"])
+def test_multipoly_matches_rep_oracle(spec):
+    F = parse_field_spec(spec)
+    rng = random.Random(2024)
+    prime = parse_field_spec(f"p={F.char}")
+    scalars = [0, 1, -1, 5, F.char, F.char + 1, F.zero(), F.one(), prime.one()]
+    for _ in range(40):
+        f, g = (MultiPoly(F, NAMES, _random_terms(F, rng)) for _ in range(2))
+        x, y = (MultiPoly(F, NAMES, _random_terms(F, rng)) for _ in range(2))
+        scalars.append(F.from_index(rng.randrange(F.size)))
+        fg = f * g
+        cases = [
+            (fg, oracles.poly_mul(F, f.terms, g.terms)),
+            (f + g, oracles.poly_add(F, f.terms, g.terms)),
+            (f - g, oracles.poly_sub(F, f.terms, g.terms)),
+            (-f, oracles.poly_neg(F, f.terms)),
+            (f - f, {}),
+            (f + -f, {}),
+            (f * g - g * f, {}),
+            ((f - f).exact_div(g), {}),
+            (fg.exact_div(f), oracles.poly_exact_div(F, 3, fg.terms, f.terms)),
+            (fg.exact_div(g), oracles.poly_exact_div(F, 3, fg.terms, g.terms)),
+            (fg.exact_div(f), g.terms),
+        ]
+        for s in scalars[-4:] + scalars[:9]:
+            c = F.element(s).rep
+            cases += [(f * s, oracles.poly_scale(F, f.terms, c)),
+                      (s * f, oracles.poly_scale(F, f.terms, c))]
+            if not F.rep_is_zero(c):
+                k = MultiPoly.const(F, NAMES, s)
+                cases.append((fg.exact_div(k), oracles.poly_exact_div(F, 3, fg.terms, k.terms)))
+        for got, want in cases:
+            assert got.terms == want
+            _assert_canonical(F, got)
