@@ -38,7 +38,12 @@ coordinates are polynomials in a, b, c, so no fraction and no polynomial
 gcd is ever needed.  Each monomial is one packed int key: the total degree
 in the top field, then one EXP_BITS-wide field per variable, first variable
 first.  Int order is then graded-lex order, and a monomial product is one
-int addition.
+int addition.  The coefficient field picks the arithmetic, as ``packed``
+picks `row_reduce`'s kernel: over a prime field (``F.base is None``) the
+reps are ints in range(1, p), so a product or a Bareiss row update
+``mul_sub`` sums raw int products per key and reduces mod p once per key,
+and ``exact_div`` tests divisibility on the packed keys; over a tower the
+same operations call the field's rep methods once per term product.
 """
 from __future__ import annotations
 
@@ -1061,6 +1066,14 @@ class MultiPoly:
     degree is the key's top field and a monomial product is one int addition.
     Every exponent is at most the total degree, so a product of degree 2^W or
     more raises OverflowError before any field could carry into the next.
+
+    Over a prime field F_p every rep is an int in range(1, p), and ``+``,
+    ``-``, ``*``, ``mul_sub`` and ``exact_div`` run on ints: a product sums
+    the raw products of its term pairs per key, then reduces each sum mod
+    p once and drops the zeros (Monagan and Pearce's packed-exponent
+    accumulation).  Over a tower (F_4, F_9, ...; tuple or packed reps)
+    they go through the field's ``add_rep``, ``mul_rep`` and
+    ``rep_is_zero``, one call per term product.
     """
 
     __slots__ = ("field", "names", "terms")
@@ -1120,6 +1133,8 @@ class MultiPoly:
         elif not isinstance(other, MultiPoly):
             return NotImplemented
         F = self.field
+        if F.base is None:
+            return MultiPoly(F, self.names, _int_sum(F.p, self.terms, other.terms, 1))
         out = dict(self.terms)
         for e, v in other.terms.items():
             if e in out:
@@ -1136,11 +1151,17 @@ class MultiPoly:
 
     def __neg__(self):
         F = self.field
+        if F.base is None:
+            p = F.p
+            return MultiPoly(F, self.names, {e: p - v for e, v in self.terms.items()})
         return MultiPoly(F, self.names, {e: F.neg_rep(v) for e, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, FieldElement)):
             return NotImplemented
+        F = self.field
+        if F.base is None and isinstance(other, MultiPoly):
+            return MultiPoly(F, self.names, _int_sum(F.p, self.terms, other.terms, -1))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -1156,11 +1177,16 @@ class MultiPoly:
             c = F.element(other).rep  # lifts an element of a subfield
             if F.rep_is_zero(c):
                 return MultiPoly(F, self.names, {})
+            if F.base is None:  # nonzero times nonzero is nonzero mod a prime
+                p = F.p
+                return MultiPoly(F, self.names, {e: v * c % p for e, v in self.terms.items()})
             mul_rep = F.mul_rep
             return MultiPoly(F, self.names, {e: mul_rep(v, c) for e, v in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
             return MultiPoly(F, self.names, {})
+        if F.base is None:
+            return MultiPoly(F, self.names, _int_combination(F.p, len(self.names), ((a, b, 1),)))
         shift = len(self.names) * EXP_BITS
         if (max(a) >> shift) + (max(b) >> shift) > _EXP_MASK:
             raise OverflowError(f"a product of degree >= 2^{EXP_BITS} overflows a packed exponent")
@@ -1184,6 +1210,16 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def mul_sub(self, x: "MultiPoly", b: "MultiPoly", y: "MultiPoly") -> "MultiPoly":
+        """self*x - b*y for polynomials x, b, y: the row update of
+        fraction-free elimination.  Over a prime field both products go
+        into one accumulation, reduced once per key."""
+        F = self.field
+        if F.base is not None:
+            return self * x - b * y
+        products = ((self.terms, x.terms, 1), (b.terms, y.terms, -1))
+        return MultiPoly(F, self.names, _int_combination(F.p, len(self.names), products))
+
     def __pow__(self, e: int):
         result = MultiPoly.const(self.field, self.names, 1)
         base = self
@@ -1196,8 +1232,8 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = MultiPoly.const(self.field, self.names, other)
+        # no scalar compares equal: the constant 1 of F_3[a,b,c] would have
+        # to hash like both the int 1 and F.one(), which hash apart
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.terms == other.terms
@@ -1238,6 +1274,8 @@ class MultiPoly:
         if divisor.is_constant():
             inv = F.inv_rep(divisor.constant_value().rep)
             return MultiPoly(F, self.names, {e: F.mul_rep(v, inv) for e, v in self.terms.items()})
+        if F.base is None:
+            return MultiPoly(F, self.names, _int_exact_div(F, len(self.names), self.terms, divisor.terms))
         rem = dict(self.terms)
         out: dict = {}
         dlead_e, dlead_c = divisor.leading()
@@ -1261,6 +1299,76 @@ class MultiPoly:
 
     def __repr__(self):
         return poly_str(self)
+
+
+# The int path of MultiPoly over a prime field F_p: every rep is an int in
+# range(1, p), so sums of raw products are plain ints, reduced once per key.
+
+def _int_combination(p: int, nvars: int, products) -> dict:
+    """The terms of the sum of sign*a*b over the (a, b, sign) in products,
+    a and b being terms dicts over F_p."""
+    shift = nvars * EXP_BITS
+    out: dict = {}
+    get = out.get
+    for a, b, sign in products:
+        if not a or not b:
+            continue
+        if (max(a) >> shift) + (max(b) >> shift) > _EXP_MASK:
+            raise OverflowError(f"a product of degree >= 2^{EXP_BITS} overflows a packed exponent")
+        if len(a) > len(b):
+            a, b = b, a
+        for e1, v1 in a.items():
+            v1 *= sign
+            for e2, v2 in b.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + v1 * v2
+    return {e: r for e, v in out.items() if (r := v % p)}
+
+
+def _int_sum(p: int, a: dict, b: dict, sign: int) -> dict:
+    """The terms of a + sign*b over F_p, for sign 1 or -1."""
+    out = dict(a)
+    get = out.get
+    for e, v in b.items():
+        s = (get(e, 0) + sign * v) % p
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _int_exact_div(F: PrimeField, nvars: int, a: dict, d: dict) -> dict:
+    """The quotient a / d over F_p, or ValueError if d does not divide a.
+
+    The divisor's leading monomial divides the remainder's, e, exactly when
+    q = e - lead subtracts exponent by exponent, with no borrow out of an
+    exponent field (then q >= 0, as degrees are sums of exponents).  Bit k
+    of e ^ lead ^ q is the borrow into bit k of q, so the test reads the
+    bits at W, 2W, ..., nvars*W, the lowest bit of every field above the
+    last variable's."""
+    p = F.p
+    borrows = sum(1 << (i * EXP_BITS) for i in range(1, nvars + 1))
+    dlead = max(d)
+    dinv = F.inv_rep(d[dlead])
+    tail = [(e, -v) for e, v in d.items() if e != dlead]
+    rem, out = dict(a), {}
+    get = rem.get
+    while rem:
+        e = max(rem)
+        q = e - dlead
+        if (e ^ dlead ^ q) & borrows:
+            raise ValueError("inexact polynomial division")
+        c = rem.pop(e) * dinv % p
+        out[q] = c
+        for te, v in tail:
+            te += q
+            s = (get(te, 0) + c * v) % p
+            if s:
+                rem[te] = s
+            else:
+                del rem[te]
+    return out
 
 
 def poly_str(f: MultiPoly) -> str:

@@ -574,7 +574,7 @@ def _bareiss_echelon(mat: EvaluationMatrix):
             entry = rows[k][c]
             new = []
             for j in range(ncols):
-                val = piv * rows[k][j] - entry * rows[r][j]
+                val = piv.mul_sub(rows[k][j], entry, rows[r][j])
                 if not prev_is_one and not val.is_zero():
                     val = val.exact_div(prev)
                 new.append(val)

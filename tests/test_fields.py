@@ -748,6 +748,10 @@ def test_multipoly_matches_rep_oracle(spec):
             (fg.exact_div(f), oracles.poly_exact_div(F, 3, fg.terms, f.terms)),
             (fg.exact_div(g), oracles.poly_exact_div(F, 3, fg.terms, g.terms)),
             (fg.exact_div(f), g.terms),
+            (f.mul_sub(x, g, y), oracles.poly_sub(F, oracles.poly_mul(F, f.terms, x.terms),
+                                                   oracles.poly_mul(F, g.terms, y.terms))),
+            (f.mul_sub(g, g, f), {}),
+            (f.mul_sub(x, MultiPoly.zero(F, NAMES), y), oracles.poly_mul(F, f.terms, x.terms)),
         ]
         for s in scalars[-4:] + scalars[:9]:
             c = F.element(s).rep
@@ -759,3 +763,48 @@ def test_multipoly_matches_rep_oracle(spec):
         for got, want in cases:
             assert got.terms == want
             _assert_canonical(F, got)
+
+
+@pytest.mark.parametrize("spec", ["p=3", "p=2;ext=2"])
+def test_multipoly_negative_paths(spec):
+    F = parse_field_spec(spec)
+    a, b, c = (MultiPoly.var(F, NAMES, n) for n in NAMES)
+    one, zero = MultiPoly.const(F, NAMES, 1), MultiPoly.zero(F, NAMES)
+    inexact = [
+        # the subtraction of the leading keys borrows into a field:
+        (a * c ** 3, b * c),   # the b field borrows from the a field
+        (a ** 2 * b, b ** 2),  # the same, at equal total degree
+        (a ** 2, b),           # the same, at a smaller total degree
+        (a * b ** 2, c),       # the c field borrows from the b field
+        (b ** 2 * c, a),       # the a field borrows from the degree field
+        (a ** 2 + one, a),     # a remainder of lower degree than the divisor
+        (one, a),
+        (a * b + c, a + b),
+        ((a + b) * (a + c) + c ** 3, a + b),
+    ]
+    for num, den in inexact:
+        with pytest.raises(ValueError):
+            num.exact_div(den)
+    for num in (a, one, zero):
+        with pytest.raises(ZeroDivisionError):
+            num.exact_div(zero)
+    top = a ** ((1 << fields.EXP_BITS) - 1)
+    for overflow in (lambda: top * b, lambda: b * top, lambda: top.mul_sub(a, b, c),
+                     lambda: a.mul_sub(b, top, c), lambda: zero.mul_sub(a, c, top)):
+        with pytest.raises(OverflowError):
+            overflow()
+    # a vanishing product cannot overflow
+    assert (top * zero).is_zero() and top.mul_sub(zero, zero, top).is_zero()
+
+
+@pytest.mark.parametrize("spec", ["p=3", "p=2;ext=2"])
+def test_multipoly_never_equals_scalars(spec):
+    F = parse_field_spec(spec)
+    one = MultiPoly.const(F, NAMES, 1)
+    zero = MultiPoly.zero(F, NAMES)
+    for poly, scalars in ((one, (1, F.char + 1, F.one())), (zero, (0, F.char, F.zero()))):
+        for s in scalars:
+            assert poly != s and s != poly
+            assert len({poly, s}) == 2
+    assert one == MultiPoly.const(F, NAMES, F.one()) == MultiPoly.const(F, NAMES, F.char + 1)
+    assert len({one, MultiPoly.const(F, NAMES, F.one())}) == 1
