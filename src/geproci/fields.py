@@ -1301,9 +1301,6 @@ class MultiPoly:
         return poly_str(self)
 
 
-# The int path of MultiPoly over a prime field F_p: every rep is an int in
-# range(1, p), so sums of raw products are plain ints, reduced once per key.
-
 def _int_combination(p: int, nvars: int, products) -> dict:
     """The terms of the sum of sign*a*b over the (a, b, sign) in products,
     a and b being terms dicts over F_p."""
