@@ -1,5 +1,6 @@
 """Test oracles: incidence of lines and points of PG(3,q), a Gauss-Jordan
-row reduction, and sparse polynomial arithmetic on rep methods.
+row reduction, sparse polynomial arithmetic on rep methods, and a field
+tower on tuples.
 
 The library reads incidence off point masks; `lines_skew` and
 `line_contains` answer the same questions by the rank of the spanning
@@ -9,7 +10,11 @@ collinear classes with a row reduction each, as the library once did.
 once did.  The `poly_*` functions act on `MultiPoly.terms` dicts (packed
 monomial key -> nonzero rep) through F's own `mul_rep`, `add_rep`,
 `sub_rep` and `rep_is_zero`, one call per term product, as `MultiPoly`
-once did over every field."""
+once did over every field.  `tower_oracle` builds the layers of a spec
+`p=p;ext=d1;ext=d2;...` as tuples of lower-layer reps, with the index
+order and moduli that spec strings name, as `fields` once did."""
+import functools
+
 from geproci.fields import EXP_BITS
 from geproci.projgeom import GeometryError, collinear_classes, line_through, matrix_rank
 
@@ -135,3 +140,213 @@ def poly_exact_div(F, nvars: int, a: dict, d: dict) -> dict:
             else:
                 rem[te] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# a reference tower: F_p, then layers of tuples of lower-layer reps
+
+class PrimeOracle:
+    """F_p on ints in range(p)."""
+
+    def __init__(self, p):
+        self.p = self.char = self.size = p
+        self.zero, self.one = 0, 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a):
+        return a % self.p == 0
+
+    def from_index(self, i):
+        return i % self.p
+
+    def index(self, a):
+        return a
+
+    def lift(self, sub, a):
+        if sub is not self:
+            raise ValueError("not a layer of this tower")
+        return a
+
+
+class TowerOracle:
+    """F_s[y]/(g) over a reference base of size s, each element the tuple of
+    its `degree` base coefficients, low to high, and the index sum
+    index(c_j) * s^j.  Products are schoolbook and reduced by long
+    division, inverses by the extended Euclidean algorithm: the tuple
+    arithmetic the library used before every layer packed its elements.
+    With `degree` alone, g is the smallest monic irreducible in index
+    order (Rabin's test); `modulus` gives g as base indices instead."""
+
+    def __init__(self, base, degree=None, modulus=None):
+        self.base, self.char = base, base.char
+        if modulus is None:
+            modulus = smallest_irreducible_oracle(base, degree)
+        self.modulus = [base.from_index(c) for c in modulus]
+        self.degree = len(self.modulus) - 1
+        self.size = base.size ** self.degree
+        self.zero = tuple([base.zero] * self.degree)
+        self.one = self.from_coeffs([base.one])
+        if self.size <= 1024:  # small layers: memoized, as the tables were
+            for op in ("add", "neg", "mul", "inv"):
+                setattr(self, op, functools.lru_cache(maxsize=None)(getattr(self, op)))
+
+    def from_coeffs(self, cs):
+        cs = list(cs[: self.degree])
+        return tuple(cs + [self.base.zero] * (self.degree - len(cs)))
+
+    def add(self, a, b):
+        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.base.neg(x) for x in a)
+
+    def mul(self, a, b):
+        B = self.base
+        return self.from_coeffs(pmod(B, pmul(B, list(a), list(b)), self.modulus))
+
+    def inv(self, a):
+        B = self.base
+        r0, r1 = list(self.modulus), pnorm(B, list(a))
+        if not r1:
+            raise ZeroDivisionError("inverse of zero")
+        s0, s1 = [], [B.one]
+        while r1:
+            q, r = pdivmod(B, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, psub(B, s0, pmul(B, q, s1))
+        inv = B.inv(r0[-1])
+        return self.from_coeffs([B.mul(c, inv) for c in s0])
+
+    def is_zero(self, a):
+        return all(self.base.is_zero(x) for x in a)
+
+    def from_index(self, i):
+        out = []
+        for _ in range(self.degree):
+            i, r = divmod(i, self.base.size)
+            out.append(self.base.from_index(r))
+        return tuple(out)
+
+    def index(self, a):
+        idx = 0
+        for c in reversed(a):
+            idx = idx * self.base.size + self.base.index(c)
+        return idx
+
+    def lift(self, sub, a):
+        """The rep here of the rep a of the lower layer `sub`."""
+        return a if sub is self else self.from_coeffs([self.base.lift(sub, a)])
+
+
+def tower_oracle(p, degrees):
+    """The layers [F_p, F_{p^d1}, ...] of the reference tower `p=p;ext=d1;...`."""
+    layers = [PrimeOracle(p)]
+    for d in degrees:
+        layers.append(TowerOracle(layers[-1], d))
+    return layers
+
+
+def pnorm(F, f):
+    while f and F.is_zero(f[-1]):
+        f.pop()
+    return f
+
+
+def padd(F, f, g):
+    n = max(len(f), len(g))
+    return pnorm(F, [F.add(f[i] if i < len(f) else F.zero, g[i] if i < len(g) else F.zero)
+                     for i in range(n)])
+
+
+def psub(F, f, g):
+    return padd(F, f, [F.neg(c) for c in g])
+
+
+def pmul(F, f, g):
+    if not f or not g:
+        return []
+    out = [F.zero] * (len(f) + len(g) - 1)
+    if isinstance(F, PrimeOracle):  # ints: one mod per coefficient
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return pnorm(F, [c % F.p for c in out])
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return pnorm(F, out)
+
+
+def pdivmod(F, f, g):
+    f = pnorm(F, list(f))
+    inv_lead = F.inv(g[-1])
+    q = [F.zero] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g):
+        c, k = F.mul(f[-1], inv_lead), len(f) - len(g)
+        q[k] = c
+        if isinstance(F, PrimeOracle):
+            f[k:] = [(x - c * b) % F.p for x, b in zip(f[k:], g)]
+        else:
+            for i, b in enumerate(g):
+                f[k + i] = F.add(f[k + i], F.neg(F.mul(c, b)))
+        pnorm(F, f)
+    return pnorm(F, q), f
+
+
+def pmod(F, f, g):
+    return pdivmod(F, f, g)[1]
+
+
+def pgcd(F, f, g):
+    while g:
+        f, g = g, pmod(F, f, g)
+    return f
+
+
+def ppowmod(F, f, e, m):
+    result, f = [F.one], pmod(F, list(f), m)
+    while e:
+        if e & 1:
+            result = pmod(F, pmul(F, result, f), m)
+        f = pmod(F, pmul(F, f, f), m)
+        e >>= 1
+    return result
+
+
+def is_irreducible_oracle(F, m):
+    """Rabin's test of the monic m of degree n >= 1 over F: x^(s^n) = x mod m,
+    and gcd(x^(s^(n/l)) - x, m) = 1 for every prime l | n."""
+    n, x = len(m) - 1, [F.zero, F.one]
+    if n == 1:
+        return True
+    if psub(F, ppowmod(F, x, F.size ** n, m), x):
+        return False
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    return all(len(pgcd(F, m, psub(F, ppowmod(F, x, F.size ** (n // q), m), x))) == 1
+               for q in primes)
+
+
+def smallest_irreducible_oracle(F, degree):
+    """The monic irreducible of the given degree over F with the smallest
+    index sum index(c_j) * s^j of its lower coefficients, as base indices."""
+    for i in range(F.size ** degree):
+        cs, k = [], i
+        for _ in range(degree):
+            k, r = divmod(k, F.size)
+            cs.append(r)
+        if is_irreducible_oracle(F, [F.from_index(c) for c in cs] + [F.one]):
+            return cs + [1]
+    raise ValueError("no irreducible polynomial found")

@@ -223,6 +223,73 @@ def test_field_elements_never_equal_ints(spec):
 
 
 # ---------------------------------------------------------------------------
+# every layer against the tuple tower of tests/oracles.py, by index
+
+# (how the library builds the field, the reference tower p=p;ext=d1;...)
+ORACLE_FIELDS = {
+    "p=2;ext=2": (lambda: parse_field_spec("p=2;ext=2"), 2, [2]),
+    "p=3;ext=2": (lambda: parse_field_spec("p=3;ext=2"), 3, [2]),
+    "p=2;ext=3": (lambda: parse_field_spec("p=2;ext=3"), 2, [3]),
+    "p=2;ext=2;ext=2": (lambda: parse_field_spec("p=2;ext=2;ext=2"), 2, [2, 2]),
+    "p=2;ext=2;ext=3": (lambda: parse_field_spec("p=2;ext=2;ext=3"), 2, [2, 3]),
+    "p=3;ext=2;ext=2": (lambda: parse_field_spec("p=3;ext=2;ext=2"), 3, [2, 2]),
+    "extend_field(F_4, 3)": (lambda: extend_field(parse_field_spec("p=2;ext=2"), 3), 2, [2, 3]),
+    "extend_field(F_4, 16)": (lambda: extend_field(parse_field_spec("p=2;ext=2"), 16), 2, [2, 16]),
+    "extend_field(F_3^20, 2)": (lambda: extend_field(parse_field_spec("p=3;ext=20"), 2), 3, [20, 2]),
+}
+
+
+def _oracle_indices(size, rng, count=2000):
+    """Every index of a field of at most 256 elements, else `count` seeded ones."""
+    return range(size) if size <= 256 else [rng.randrange(size) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ORACLE_FIELDS)
+def test_flat_field_matches_tower_oracle(name):
+    build, p, degrees = ORACLE_FIELDS[name]
+    F = build()
+    layers = [F]
+    while layers[-1].base is not None:
+        layers.append(layers[-1].base)
+    layers.reverse()
+    refs = oracles.tower_oracle(p, degrees)
+    assert [L.size for L in layers] == [R.size for R in refs]
+    for L, R in zip(layers[1:], refs[1:]):  # the moduli that spec strings name
+        assert [L.base.rep_to_index(c) for c in L.modulus] == [R.base.index(c) for c in R.modulus]
+    O = refs[-1]
+    rng = random.Random(name)
+    singles = list(_oracle_indices(F.size, rng))
+    if F.size <= 256:
+        pairs = [(i, j) for i in singles for j in singles]
+    else:
+        pairs = [(rng.randrange(F.size), rng.randrange(F.size)) for _ in range(2000)]
+    index = F.rep_to_index
+    for i, j in pairs:
+        a, b, x, y = F.index_to_rep(i), F.index_to_rep(j), O.from_index(i), O.from_index(j)
+        assert index(F.add_rep(a, b)) == O.index(O.add(x, y))
+        assert index(F.sub_rep(a, b)) == O.index(O.add(x, O.neg(y)))
+        assert index(F.mul_rep(a, b)) == O.index(O.mul(x, y))
+    for i in singles:
+        a, x = F.index_to_rep(i), O.from_index(i)
+        assert index(a) == i and index(F.neg_rep(a)) == O.index(O.neg(x))
+        if i:
+            assert index(F.inv_rep(a)) == O.index(O.inv(x))
+        coeffs = F.coeffs(a)
+        assert [F.base.rep_to_index(c) for c in coeffs] == [O.base.index(c) for c in x]
+        assert F.from_coeffs(coeffs) == a
+    for S, R in zip(layers[:-1], refs[:-1]):  # lift_rep from every lower layer
+        for i in _oracle_indices(S.size, rng, 200):
+            s = S.from_index(i)
+            assert index(F.lift_rep(S, s.rep)) == O.index(O.lift(R, R.from_index(i)))
+            lifted = F.element(s)
+            assert lifted == s and hash(lifted) == hash(s)
+    G = parse_field_spec(F.spec_string())
+    assert G == F and G.spec_string() == F.spec_string()
+    for i in singles[:50]:
+        assert G.rep_to_index(G.index_to_rep(i)) == i
+
+
+# ---------------------------------------------------------------------------
 # row_reduce: the packed path of the large prime-base layers against
 # Gauss-Jordan (tests/oracles.py)
 
