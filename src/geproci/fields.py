@@ -1,36 +1,39 @@
 """Exact arithmetic: prime fields, extension towers, and polynomials over them.
 
-Elements carry a raw ``rep`` so inner loops can work on plain Python data;
-the :class:`FieldElement` wrapper adds operators on top.  A prime field's
-rep is an int in range(p).  An extension layer's rep is a tuple of
-lower-layer reps, except in the large prime-base layers below, whose rep
-is one packed int.
+Every field here is F_p[t]/(M), M monic irreducible of degree n over F_p,
+and an element's raw ``rep`` is one int: the Kronecker-packed sum
+c_i << (S*i) of its coefficients, each canonical in [0, p) (see
+`_Packing`).  F_p is the one-slot packing of F_p[t]/(t), whose reps are
+the ints in range(p), and in every field the integer k is the rep k mod p.
+Inner loops work on these ints; the :class:`FieldElement` wrapper adds
+operators on top.
 
-An extension layer of at most ``ZECH_MAX_SIZE`` (2^16) elements multiplies
-and inverts by table lookup.  On first use it finds a primitive element g
-and tabulates exp[i] = g^i and log[g^i] = i; then a*b = exp[log a + log b]
-and 1/a = exp[-log a], with the exponents taken mod q-1.
+A tower layer B[y]/(g) keeps the definition that spec strings name: its
+base B, its modulus g over B, and the index order in which sum b_j y^j
+has index sum index(b_j) |B|^j.  Over a prime base M = g and the slots
+are the index digits.  Over a non-prime base t is an element of the
+layer that generates it over F_p, M its minimal polynomial, and two fixed
+F_p-linear maps take the slots to the index digits and back (see
+`FieldTower`).  Indices, spec strings, point files and reports never see M.
 
-Larger layers (the random-mode extensions) compute polynomially.  Over a
-tower base they multiply schoolbook and invert by the extended Euclidean
-algorithm, both on lists of base-field reps.  Over a prime base an
-element is the Kronecker-packed int sum c_i << (S*i) of its coefficients,
-each canonical in [0, p) (see `_Packing`).  A product is one int product
-folded back below the modulus degree by its high part times the modulus
-tail; a sum or a product is then brought back to canonical slots by one
-Barrett step that reduces every slot mod p at once.  The inverse runs the
-extended Euclidean algorithm on the unpacked int coefficients mod p.  The
-same packed products give the powers x^(p^k) of Rabin's irreducibility
-test, which picks each layer's modulus.  Element indices, spec strings
-and point files are the same for every rep.
+A sum is one int addition and a product one int product folded back
+below degree n by the tail of M; one Barrett step then reduces every slot
+mod p at once.  A field of at most ``ZECH_MAX_SIZE`` (2^16) elements
+multiplies and inverts by table lookup instead: on first use it finds a
+primitive element g in index order and tabulates exp[i] = g^i and
+log[g^i] = i, so a*b = exp[log a + log b] and 1/a = exp[-log a], the
+exponents taken mod q-1.  A larger field inverts by the extended Euclidean
+algorithm on the unpacked coefficients mod p.  Rabin's irreducibility test
+picks each layer's modulus: over a prime base on packed powers x^(p^k),
+over a tower base on coefficient lists of base reps.
 
 `row_reduce`, the one finite-field row reduction, inserts the rows in
 order into the RREF basis of the rows before them, one inversion per
 pivot; a square invertible matrix's determinant is the product of the
-leads times the sign of the row-to-pivot permutation.  Over a packed
-layer it works on the packed ints directly: each update adds a canonical
-multiplier times a canonical basis entry to a canonical cell, so one
-Barrett step keeps every slot in bound (see `_Packing`).
+leads times the sign of the row-to-pivot permutation.  It works on the
+packed ints directly: each update adds a canonical multiplier times a
+canonical basis entry to a canonical cell, so one Barrett step keeps every
+slot in bound (see `_Packing`).
 
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
@@ -38,12 +41,11 @@ coordinates are polynomials in a, b, c, so no fraction and no polynomial
 gcd is ever needed.  Each monomial is one packed int key: the total degree
 in the top field, then one EXP_BITS-wide field per variable, first variable
 first.  Int order is then graded-lex order, and a monomial product is one
-int addition.  The coefficient field picks the arithmetic, as ``packed``
-picks `row_reduce`'s kernel: over a prime field (``F.base is None``) the
-reps are ints in range(1, p), so a product or a Bareiss row update
-``mul_sub`` sums raw int products per key and reduces mod p once per key,
-and ``exact_div`` tests divisibility on the packed keys; over a tower the
-same operations call the field's rep methods once per term product.
+int addition.  Over a prime field (``F.base is None``) the reps are ints
+in range(1, p), so a product or a Bareiss row update ``mul_sub`` sums raw
+int products per key and reduces mod p once per key, and ``exact_div``
+tests divisibility on the packed keys; over an extension the same
+operations call the field's rep methods once per term product.
 """
 from __future__ import annotations
 
@@ -72,18 +74,13 @@ class WrongCharacteristic(FieldError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over an arbitrary field (reps, low-to-high)
+# univariate polynomial helpers over a field (lists of reps, low-to-high):
+# Rabin's test over a tower base, and the powers of a layer's generator
 
 def _pnorm(f):
-    while f and _rep_is_zero(f[-1]):
+    while f and not f[-1]:  # every field's zero rep is 0
         f.pop()
     return f
-
-
-def _rep_is_zero(r):
-    if isinstance(r, tuple):
-        return all(_rep_is_zero(x) for x in r)
-    return r == 0
 
 
 def _padd(F, f, g):
@@ -109,7 +106,7 @@ def _pmul(F, f, g):
         return []
     out = [F.zero_rep] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if _rep_is_zero(a):
+        if not a:
             continue
         for j, b in enumerate(g):
             out[i + j] = F.add_rep(out[i + j], F.mul_rep(a, b))
@@ -262,10 +259,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """F_p with elements represented by ints in range(p)."""
+class _Field:
+    """What every field shares: the element-level API over its reps."""
 
-    packed = None  # row_reduce runs its plain loop here
+    def zero(self):
+        return FieldElement(self, self.zero_rep)
+
+    def one(self):
+        return FieldElement(self, self.one_rep)
+
+    def from_index(self, i: int) -> "FieldElement":
+        return FieldElement(self, self.index_to_rep(i))
+
+    def elements(self) -> Iterator["FieldElement"]:
+        for i in range(self.size):
+            yield self.from_index(i)
+
+    def __repr__(self):
+        return f"F_{self.size}"
+
+
+class PrimeField(_Field):
+    """F_p with elements represented by ints in range(p): the one-slot
+    packing of F_p[t]/(t), whose arithmetic is plain ints mod p."""
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -277,6 +293,7 @@ class PrimeField:
         self.base = None
         self.zero_rep = 0
         self.one_rep = 1
+        self.packed = _Packing(p, (0, 1))  # one slot: the rep itself
 
     # rep-level ops
     def add_rep(self, a, b):
@@ -305,26 +322,19 @@ class PrimeField:
     def index_to_rep(self, i):
         return i % self.p
 
+    def digits(self, a) -> list:
+        return [a]
+
+    def from_digits(self, digits):
+        return digits[0]
+
     # element-level API
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise FieldError("element of a different field")
             return value
         return FieldElement(self, int(value) % self.p)
-
-    def from_index(self, i: int) -> "FieldElement":
-        return FieldElement(self, self.index_to_rep(i))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.size):
-            yield FieldElement(self, i)
 
     def lift_rep(self, sub, rep):
         """Lift a rep of the subfield `sub` (a prefix of this tower) to here."""
@@ -340,9 +350,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"F_{self.p}"
 
 
 # Fields up to this size multiply and invert by log/antilog table lookups.
@@ -368,9 +375,10 @@ class _Packing:
     W comes from a simulation on the all-(p-1) inputs, which maximize every
     slot of the product and of each fold at once: 2^W exceeds the largest
     slot value anywhere on the way, and a canonical value plus a folded
-    product, as a row update in `row_reduce` makes.  `folds` counts the
-    folds.  The packed layers keep their elements in this form; the
-    smaller prime-base layers pack their tuples only to multiply.
+    product, as a row update in `row_reduce` makes.  The middle slot of the
+    product is n(p-1)^2, so a sum of n canonical ints times canonical
+    constants is in bound too, as the basis changes of `FieldTower` make.
+    `folds` counts the folds.
     """
 
     def __init__(self, p: int, modulus: Sequence[int]):
@@ -390,6 +398,7 @@ class _Packing:
         k = W + p.bit_length()
         S = W + k
         self.p, self.n, self.W, self.S, self.folds = p, n, W, S, range(folds)
+        self.modulus = tuple(modulus)
         self.shifts, self.mask = range(0, n * S, S), (1 << S) - 1
         self.nS, self.low = n * S, (1 << (n * S)) - 1
         self.tail = sum(t << (S * i) for i, t in enumerate(tail))
@@ -427,14 +436,31 @@ class _Packing:
     def neg(self, a: int) -> int:
         return self.reduce(self.ps - a)
 
+    def linear(self, src: "_Packing", rows, v: int) -> int:
+        """The F_p-linear image of v, packed by src, that sends slot i of
+        src to rows[i], packed here; v and the rows are canonical."""
+        return self.reduce(sum(c * r for c, r in zip(src.unpack(v), rows)))
 
-class FieldTower:
-    """One extension layer F_s[t]/(m) over a base field of size s.
 
-    `modulus` lists base-field reps, low to high.  A layer over a prime
-    base with more than ZECH_MAX_SIZE elements sets `packed`, and its reps
-    are the canonical packed ints of that `_Packing`; every other layer's
-    reps are tuples of `degree` base-field reps.
+class FieldTower(_Field):
+    """One extension layer B[y]/(g) of degree d over a base field B.
+
+    `modulus` lists g's coefficients as base-field reps, low to high.  With
+    the base it is the layer's definition: spec strings name it, and an
+    element sum b_j y^j has index sum index(b_j) |B|^j.  The arithmetic
+    runs in F_p[t]/(M) on the packed ints of `packed`, whatever the base.
+
+    Over a prime base M = g, and slot i of a rep is the i-th base-p digit
+    of its index.  Over a non-prime base B of degree k over F_p, t is the
+    first θ = y + b, b in B in index order, whose powers 1, θ, ..., θ^(n-1)
+    span the layer (n = d*k), and M is its minimal polynomial over F_p.
+    The index digits of an element are then those of its coefficients b_j,
+    k per coefficient.  Row i of the n×n matrix T holds the digits of θ^i,
+    so an element with slots u has the digits u·T and the slots c·T^-1 for
+    digits c.  One `row_reduce` of [T | I] finds T^-1, and with it M and
+    whether θ spans; the rows of T and T^-1, packed, are `_digit_rows` and
+    `_slot_rows` (None over a prime base).  A subfield's elements lift by
+    the images of its slot basis, built once per subfield.
     """
 
     def __init__(self, base, modulus: Sequence, check: bool = True):
@@ -450,45 +476,72 @@ class FieldTower:
         self.size = base.size ** self.degree
         if check and not is_irreducible(base, list(self.modulus)):
             raise ReducibleModulus("modulus is reducible over the base field")
-        # prime-base layers multiply on packed ints; the large ones (no
-        # tables) keep their elements packed
-        self._kron = _Packing(base.p, self.modulus) if isinstance(base, PrimeField) else None
-        self.packed = self._kron if self.size > ZECH_MAX_SIZE else None
-        self.zero_rep = self.from_coeffs([])
-        self.one_rep = self.from_coeffs([base.one_rep])
+        self._digit_rows = self._slot_rows = None
+        self.packed = _Packing(base.p, mod) if base.base is None else self._basis_change()
+        self.zero_rep, self.one_rep = 0, 1
         self._log = self._exp = None  # built on first use, see _tables
+        self._lifts = {}  # subfield -> images of its slot basis
+        self._hash = hash(("FieldTower", base, self.modulus))
+
+    def _basis_change(self) -> _Packing:
+        """The packing of F_p[t]/(M) over a non-prime base, setting the
+        digit and slot rows (see the class docstring)."""
+        B, g, d = self.base, list(self.modulus), self.degree
+        n, p, Fp = d * B.packed.n, self.char, PrimeField(self.char)
+
+        def digits(f):  # of the element with coefficients f, low to high
+            return [c for b in f + [0] * (d - len(f)) for c in B.digits(b)]
+
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(B.size):
+            theta, x, powers = [B.index_to_rep(i), 1], [1], []
+            for _ in range(n + 1):
+                powers.append(digits(x))
+                x = _pmod(B, _pmul(B, x, theta), g)
+            pivots, rows, _ = row_reduce(Fp, [t + e for t, e in zip(powers, identity)])
+            if pivots == list(range(n)):
+                break
+        else:  # a field has one: fewer than |B| of the y + b lie in proper subfields
+            raise ReducibleModulus("modulus is reducible over the base field")
+        inverse = [r[n:] for r in rows]
+        # θ^n = sum_i m_i θ^i with m = digits(θ^n)·T^-1
+        m = [sum(c * r[i] for c, r in zip(powers[n], inverse)) % p for i in range(n)]
+        K = _Packing(p, [-c % p for c in m] + [1])
+        self._digit_rows = [K.pack(r) for r in powers[:n]]
+        self._slot_rows = [K.pack(r) for r in inverse]
+        return K
+
+    def digits(self, a) -> list:
+        """The n base-p digits of a's index, lowest first."""
+        K = self.packed
+        return K.unpack(a if self._digit_rows is None else K.linear(K, self._digit_rows, a))
+
+    def from_digits(self, digits):
+        """The rep whose index has these base-p digits, lowest first;
+        missing ones are zero and those past n are dropped."""
+        K = self.packed
+        v = K.pack(digits)
+        return v if self._slot_rows is None else K.linear(K, self._slot_rows, v)
 
     def coeffs(self, a) -> list:
         """The base-field reps of a, low to high, `degree` of them."""
-        if self.packed is not None:
-            return self.packed.unpack(a)
-        return list(a)
+        B, digits, k = self.base, self.digits(a), self.base.packed.n
+        return [B.from_digits(digits[i:i + k]) for i in range(0, len(digits), k)]
 
     def from_coeffs(self, coeffs):
         """The rep with the given base-field reps, low to high; missing ones
         are zero and those past `degree` are dropped."""
-        if self.packed is not None:
-            return self.packed.pack(coeffs)
-        f = list(coeffs[: self.degree])
-        return tuple(f + [self.base.zero_rep] * (self.degree - len(f)))
+        B = self.base
+        return self.from_digits([c for b in coeffs[: self.degree] for c in B.digits(b)])
 
     def add_rep(self, a, b):
-        if self.packed is not None:
-            return self.packed.add(a, b)
-        B = self.base
-        return tuple(B.add_rep(x, y) for x, y in zip(a, b))
+        return self.packed.add(a, b)
 
     def sub_rep(self, a, b):
-        if self.packed is not None:
-            return self.packed.sub(a, b)
-        B = self.base
-        return tuple(B.sub_rep(x, y) for x, y in zip(a, b))
+        return self.packed.sub(a, b)
 
     def neg_rep(self, a):
-        if self.packed is not None:
-            return self.packed.neg(a)
-        B = self.base
-        return tuple(B.neg_rep(x) for x in a)
+        return self.packed.neg(a)
 
     def _tables(self):
         """Build the log/antilog tables (fields of size <= ZECH_MAX_SIZE).
@@ -499,11 +552,16 @@ class FieldTower:
         needs no reduction, and log maps zero to 2(q-1), past which exp
         holds only zero: a product with zero is one lookup too.
         """
-        B, order = self.base, self.size - 1
+        mul, order = self.packed.mul, self.size - 1
         factors = _prime_factors(order)
 
         def is_one(g, e):
-            return _ppowmod(B, g, e, list(self.modulus)) == [B.one_rep]
+            r = 1
+            while e:
+                if e & 1:
+                    r = mul(r, g)
+                g, e = mul(g, g), e >> 1
+            return r == 1
 
         for i in range(1, self.size):
             g = self.index_to_rep(i)
@@ -511,124 +569,76 @@ class FieldTower:
                 break
         else:  # only a ring with zero divisors has no element of order q-1
             raise ReducibleModulus("modulus is reducible over the base field")
-        exp, log, x = [], {}, self.one_rep
+        exp, log, x = [], {}, 1
         for i in range(order):
             exp.append(x)
             log[x] = i
-            x = self._mul_poly(x, g)
-        log[self.zero_rep] = 2 * order
-        self._exp = exp + exp + [self.zero_rep] * (2 * order + 1)
+            x = mul(x, g)
+        log[0] = 2 * order
+        self._exp = exp + exp + [0] * (2 * order + 1)
         self._log = log
         return log
 
     def mul_rep(self, a, b):
-        if self.packed is not None:
-            return self.packed.mul(a, b)
         log = self._log
         if log is None:
             if self.size > ZECH_MAX_SIZE:
-                return self._mul_poly(a, b)
+                return self.packed.mul(a, b)
             log = self._tables()
-        try:
-            return self._exp[log[a] + log[b]]
-        except (KeyError, TypeError):  # a non-canonical rep
-            return self._mul_poly(a, b)
+        return self._exp[log[a] + log[b]]
 
     def inv_rep(self, a):
         log = self._log
         if log is None:
             if self.size > ZECH_MAX_SIZE:
-                return self._inv_poly(a)
+                K = self.packed
+                return K.pack(_inv_mod_p(K.p, K.modulus, K.unpack(a)))
             log = self._tables()
-        try:
-            k = log[a]
-        except (KeyError, TypeError):  # a non-canonical rep
-            return self._inv_poly(a)
+        k = log[a]
         if k == 2 * (self.size - 1):
             raise ZeroDivisionError("inverse of zero")
         return self._exp[self.size - 1 - k]
 
-    def _mul_poly(self, a, b):
-        """Product by polynomial multiplication and reduction: packed over a
-        prime base, schoolbook on base-field reps over a tower."""
-        K = self._kron
-        if K is not None:
-            return tuple(K.unpack(K.mul(K.pack(a), K.pack(b))))
-        B = self.base
-        prod = _pmul(B, list(a), list(b))
-        if len(prod) >= len(self.modulus):
-            prod = _pmod(B, prod, list(self.modulus))
-        return self.from_coeffs(prod)
-
-    def _inv_poly(self, a):
-        """Inverse by the extended Euclidean algorithm on (a, modulus), on
-        int coefficients over a prime base and on base-field reps over a
-        tower."""
-        B = self.base
-        if self._kron is not None:
-            return self.from_coeffs(_inv_mod_p(B.p, self.modulus, self.coeffs(a)))
-        r0, r1 = list(self.modulus), _pnorm(list(a))
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [B.one_rep]
-        while r1:
-            q, r = _pdivmod(B, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(B, s0, _pmul(B, q, s1))
-        inv = B.inv_rep(r0[-1])  # r0 is a nonzero constant for coprime inputs
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible")
-        return self.from_coeffs([B.mul_rep(c, inv) for c in s0])
-
     def rep_is_zero(self, a):
-        # every rep the library builds is canonical, so it is zero iff it
-        # equals zero_rep; other sequences are walked
-        if type(a) is tuple or self.packed is not None:
-            return a == self.zero_rep
-        return all(self.base.rep_is_zero(x) for x in a)
+        return not a
 
     def rep_to_index(self, a):
-        idx = 0
-        for c in reversed(self.coeffs(a)):
-            idx = idx * self.base.size + self.base.rep_to_index(c)
+        idx, p = 0, self.char
+        for c in reversed(self.digits(a)):
+            idx = idx * p + c
         return idx
 
     def index_to_rep(self, i):
-        out = []
-        for _ in range(self.degree):
-            i, r = divmod(i, self.base.size)
-            out.append(self.base.index_to_rep(r))
-        return self.from_coeffs(out)
-
-    def zero(self):
-        return FieldElement(self, self.zero_rep)
-
-    def one(self):
-        return FieldElement(self, self.one_rep)
+        digits, p = [], self.char
+        for _ in range(self.packed.n):
+            i, r = divmod(i, p)
+            digits.append(r)
+        return self.from_digits(digits)
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
             if value.field is self:
                 return value
             return FieldElement(self, self.lift_rep(value.field, value.rep))
-        if isinstance(value, int):
-            # integer -> image of Z in this field (repeated 1s), i.e. value mod p
-            return FieldElement(self, self.from_coeffs([self.base.element(value).rep]))
+        if isinstance(value, int):  # the image of Z: value mod p, in slot 0
+            return FieldElement(self, value % self.char)
         if isinstance(value, (list, tuple)):
             return FieldElement(self, self.from_coeffs([self.base.element(c).rep for c in value]))
         raise FieldError(f"cannot coerce {value!r}")
 
-    def from_index(self, i: int) -> "FieldElement":
-        return FieldElement(self, self.index_to_rep(i))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.size):
-            yield self.from_index(i)
-
     def lift_rep(self, sub, rep):
+        """Lift a rep of the subfield `sub` (a prefix of this tower) to here:
+        its index digits, padded with zeros, are the lift's."""
         if sub is self or sub == self:
             return rep
-        return self.from_coeffs([self.base.lift_rep(sub, rep)])
+        if sub.base is None and sub.p == self.char:
+            return rep  # slot 0 in every layer
+        rows = self._lifts.get(sub)
+        if rows is None:
+            B = self.base
+            rows = self._lifts[sub] = [self.from_digits(B.digits(B.lift_rep(sub, 1 << s)))
+                                       for s in sub.packed.shifts]
+        return self.packed.linear(sub.packed, rows, rep)
 
     def spec_string(self) -> str:
         """Read back by parse_field_spec: `;ext=d` for an auto-chosen layer
@@ -647,18 +657,11 @@ class FieldTower:
         )
 
     def __hash__(self):
-        return hash(("FieldTower", self.base, self.modulus))
-
-    def __repr__(self):
-        return f"F_{self.size}"
+        return self._hash
 
 
 def field_degree_over_prime(F) -> int:
-    d = 1
-    while isinstance(F, FieldTower):
-        d *= F.degree
-        F = F.base
-    return d
+    return F.packed.n
 
 
 class FieldElement:
@@ -772,19 +775,9 @@ class FieldElement:
         return self.rep == other.rep
 
     def __hash__(self):
-        # hash on the smallest tower layer holding the element, so that it
-        # hashes like its equal images in subfields and extensions
-        F, rep = self.field, self.rep
-        while isinstance(F, FieldTower):
-            if F.packed is not None:
-                if rep >> F.packed.S:  # a packed rep in F_p is its slot 0
-                    break
-            elif rep[1:] == F.zero_rep[1:]:
-                rep = rep[0]
-            else:
-                break
-            F = F.base
-        return hash((F.size, rep))
+        # a lift keeps the index, so equal elements of a subfield and an
+        # extension hash alike
+        return hash((self.field.char, self.index))
 
     def __repr__(self):
         return f"<{self.index} in {self.field!r}>"
@@ -809,65 +802,7 @@ def row_reduce(F, rows):
     basis with few free entries.  Each remainder is its row minus a
     combination of the rows before it, and it is zero at the earlier pivot
     columns, so for a square invertible matrix det is the product of the
-    leads times the sign of the row-to-pivot-column permutation.  The RREF
-    is unique, so both paths below give the same result.  The packed path
-    keeps the slot bound of `_Packing` (see `_row_reduce_packed`).
-    """
-    lengths = set(map(len, rows))
-    if len(lengths) > 1:
-        raise FieldError("rows of unequal length")
-    ncols = lengths.pop() if lengths else 0
-    kernel = _row_reduce_loop if F.packed is None else _row_reduce_packed
-    basis, leads = kernel(F, rows, ncols)
-    det = F.zero_rep
-    if len(rows) == ncols == len(leads):
-        det = F.one_rep
-        for v in leads:
-            det = F.mul_rep(det, v)
-        order = [c for c, _ in basis]
-        if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1:
-            det = F.neg_rep(det)
-    basis.sort()  # by pivot column; no two are equal
-    return [c for c, _ in basis], [b for _, b in basis], det
-
-
-def _row_reduce_loop(F, rows, ncols):
-    """Row insertion on reps through F's own add/mul/inv.  Returns the
-    (pivot column, row) basis and the leads, both in insertion order."""
-    zero, one, is_zero, sub, mul = F.zero_rep, F.one_rep, F.rep_is_zero, F.sub_rep, F.mul_rep
-    basis, leads, free = [], [], list(range(ncols))
-    for row in rows:
-        r = list(row)
-        for c, b in basis:
-            f = r[c]
-            if not is_zero(f):
-                for j in free:
-                    y = b[j]
-                    if not is_zero(y):
-                        r[j] = sub(r[j], mul(f, y))
-        c = next((j for j in free if not is_zero(r[j])), None)
-        if c is None:
-            continue
-        leads.append(r[c])
-        inv = F.inv_rep(r[c])
-        free.remove(c)
-        nz = [(j, mul(r[j], inv)) for j in free if j > c and not is_zero(r[j])]
-        for _, b in basis:
-            v = b[c]
-            if not is_zero(v):
-                b[c] = zero
-                for j, y in nz:
-                    b[j] = sub(b[j], mul(v, y))
-        r = [zero] * ncols
-        r[c] = one
-        for j, y in nz:
-            r[j] = y
-        basis.append((c, r))
-    return basis, leads
-
-
-def _row_reduce_packed(F, rows, ncols):
-    """Row insertion on the packed reps of a large prime-base layer.
+    leads times the sign of the row-to-pivot-column permutation.
 
     An update adds f * y, folded, to a cell, where f is the negated
     multiplier and y an entry of a normalized basis row, and reduces the
@@ -875,6 +810,10 @@ def _row_reduce_packed(F, rows, ncols):
     slot of the sum is below 2^W, the bound of `_Packing.reduce`.  Every
     cell stays canonical, and a zero test is a test of the int.
     """
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        raise FieldError("rows of unequal length")
+    ncols = lengths.pop() if lengths else 0
     K = F.packed
     mul, neg, folds = K.mul, K.neg, K.folds
     low, nS, tail, m, k, qmask, p = K.low, K.nS, K.tail, K.m, K.k, K.qmask, K.p
@@ -918,7 +857,16 @@ def _row_reduce_packed(F, rows, ncols):
         for j, y in nz:
             r[j] = y
         basis.append((c, r))
-    return basis, leads
+    det = F.zero_rep
+    if len(rows) == ncols == len(leads):
+        det = F.one_rep
+        for v in leads:
+            det = F.mul_rep(det, v)
+        order = [c for c, _ in basis]
+        if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1:
+            det = F.neg_rep(det)
+    basis.sort()  # by pivot column; no two are equal
+    return [c for c, _ in basis], [b for _, b in basis], det
 
 
 # ---------------------------------------------------------------------------
@@ -1071,9 +1019,9 @@ class MultiPoly:
     ``-``, ``*``, ``mul_sub`` and ``exact_div`` run on ints: a product sums
     the raw products of its term pairs per key, then reduces each sum mod
     p once and drops the zeros (Monagan and Pearce's packed-exponent
-    accumulation).  Over a tower (F_4, F_9, ...; tuple or packed reps)
-    they go through the field's ``add_rep``, ``mul_rep`` and
-    ``rep_is_zero``, one call per term product.
+    accumulation).  Over an extension (F_4, F_9, F_{q^m}) they go through
+    the field's ``add_rep``, ``mul_rep`` and ``rep_is_zero`` on its packed
+    ints, one call per term product.
     """
 
     __slots__ = ("field", "names", "terms")
@@ -1236,7 +1184,8 @@ class MultiPoly:
         # to hash like both the int 1 and F.one(), which hash apart
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.names == other.names and self.terms == other.terms
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.names, tuple(sorted(self.terms.items()))))
