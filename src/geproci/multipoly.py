@@ -380,9 +380,10 @@ def _binomial_row(p: int, e: int) -> tuple:
     return tuple((j, b) for j in range(e + 1) if (b := math.comb(e, j) % p))
 
 
-def _int_rep(F, k: int):
-    """The rep of the integer k, that is of k mod p, in the field F."""
-    return k % F.p if F.base is None else F.from_coeffs([_int_rep(F.base, k)])
+def _cyclic(e: int, order: int) -> int:
+    """The least e' with x^e' = x^e for every x of a field of order + 1
+    elements: 0 for e = 0, else (e-1) mod order + 1."""
+    return (e - 1) % order + 1 if e else 0
 
 
 def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
@@ -396,12 +397,17 @@ def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
     added into one sum per output coefficient u^(d-j)·s^j, a dict of term
     reps (a field scalar is the constant term).  All of it runs on the reps
     of the larger of the line's field and the scalars' field, into which
-    the smaller one is lifted."""
+    the smaller one is lifted.  A coordinate x of a field of size s has
+    x^e = x^((e-1) mod (s-1) + 1) for e >= 1, so its power table grows only
+    to the largest such exponent a term reads: the x^q of a Frobenius form
+    over F_q cost no products.  The binomial C(e, j) mod p is its own rep
+    in every field."""
     ring = f.ring
     d = f.degree
     E = _common_field([c.field for c in (*A, *B, *f.coeffs.values())])
     mul, add, is0, one = E.mul_rep, E.add_rep, E.rep_is_zero, E.one_rep
-    line = [(_reps_in(E, a), _reps_in(E, b)) for a, b in zip(A, B)]
+    line = [((_reps_in(E, a), a.field.size - 1), (_reps_in(E, b), b.field.size - 1))
+            for a, b in zip(A, B)]
     powers: dict = {}  # (i, e) -> nonzero terms (j, rep) of (A_i·u + B_i·s)^e
     acc = [{} for _ in range(d + 1)]
     for exps, c in f.coeffs.items():
@@ -410,15 +416,18 @@ def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
             if not e:
                 continue
             if (i, e) not in powers:
-                (a, b), pa, pb = line[i], [one], [one]
-                for _ in range(e):
-                    pa.append(mul(pa[-1], a))
-                    pb.append(mul(pb[-1], b))
-                powers[(i, e)] = [
-                    (j, v if k == 1 else mul(v, _int_rep(E, k)))
-                    for j, k in _binomial_row(E.char, e)
-                    if not is0(v := mul(pa[e - j], pb[j]))
-                ]
+                (a, sa), (b, sb) = line[i]
+                pa, pb, terms = [one, a], [one, b], []
+                for j, k in _binomial_row(E.char, e):
+                    ea, eb = _cyclic(e - j, sa), _cyclic(j, sb)
+                    while len(pa) <= ea:
+                        pa.append(mul(pa[-1], a))
+                    while len(pb) <= eb:
+                        pb.append(mul(pb[-1], b))
+                    v = mul(pa[ea], pb[eb]) if ea and eb else pa[ea] if ea else pb[eb]
+                    if not is0(v):
+                        terms.append((j, v if k == 1 else mul(v, k)))
+                powers[(i, e)] = terms
             prod: dict = {}
             for j1, v1 in r:
                 for j2, v2 in powers[(i, e)]:

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from geproci import core
-from geproci.fields import FieldElement, MultiPoly, extend_field, parse_field_spec
+from geproci.fields import FieldElement, MultiPoly, PrimeField, extend_field, parse_field_spec
 from geproci.multipoly import (
     CommonFactor,
     CoprimalityWitness,
@@ -399,6 +399,21 @@ def test_restrict_the_frobenius_cone_matches_the_product_expansion(spec):
     rng = random.Random(F.size)
     for A, B in _random_lines(F, rng, 12):
         assert restrict_to_line(cone, A, B) == _restrict_by_products(cone, A, B)
+
+
+def test_restrict_to_line_powers_stop_at_the_field_order(monkeypatch):
+    # x^7 = x on F_7: restricting x_0^7 to a line of F_7 builds no power
+    # table, where powers up to the 7th would take 7 products per coordinate
+    F = parse_field_spec("p=7")
+    ring = ScalarRing(F)
+    f = HomogeneousForm(ring, 4, 7, {(7, 0, 0, 0): F.one()})
+    A, B = [F.from_index(i) for i in (3, 1, 0, 2)], [F.from_index(i) for i in (5, 0, 1, 4)]
+    calls, mul = [], PrimeField.mul_rep
+    monkeypatch.setattr(PrimeField, "mul_rep", lambda K, a, b: calls.append(1) or mul(K, a, b))
+    got = restrict_to_line(f, A, B)
+    monkeypatch.undo()
+    assert got == _restrict_by_products(f, A, B)
+    assert len(calls) < 7
 
 
 @pytest.mark.parametrize("spec", ["p=3", "p=7", "p=2;ext=2"])
