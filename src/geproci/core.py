@@ -35,6 +35,7 @@ from .multipoly import (
     EvaluationMatrix,
     HomogeneousForm,
     KernelBasis,
+    ProductForm,
     ScalarRing,
     condition_matrix,
     condition_rank,
@@ -43,9 +44,10 @@ from .multipoly import (
     evaluate,
     hilbert_value,
     kernel_of_conditions,
-    proportional,
+    monomials,
     restrict_to_line,
     scalar_is_zero,
+    specialize_coefficients,
 )
 from .projgeom import PointSet, all_lines, collinear_classes, exact_cover, is_coplanar, line_through
 
@@ -156,9 +158,15 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
 
     Points already on the target plane map to themselves and come first,
     which keeps later eliminations cheap (their condition rows are free of
-    the transcendentals).
+    the transcendentals).  Over a finite field, coinciding images raise
+    CollisionDetected (`_first_collision`).  A polynomial center must be
+    (a:b:c:1), and needs no search: it has transcendence degree 3 over F_q,
+    and the line through two points over F_q is defined over F_q, so it
+    holds no such center and no two images coincide.
     """
     ring = P.ring
+    if not ring.finite and P.coords != [*ring.gens(), ring.one()]:
+        raise CollisionDetected("a polynomial center must be (a:b:c:1); P is not general")
     constant_entries = []
     moving_entries = []
     for point, direction in Z.as_projection_entries():
@@ -169,7 +177,7 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
             (img, dir_img)
         )
     entries = constant_entries + moving_entries
-    pair = _first_collision(ring, [img for img, _ in entries])
+    pair = _first_collision(ring, [img for img, _ in entries]) if ring.finite else None
     if pair is not None:
         raise CollisionDetected(
             f"projected images {pair[0]} and {pair[1]} coincide; P is not general"
@@ -178,22 +186,17 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
 
 
 def _first_collision(ring: ScalarRing, images: list):
-    """The first pair (i, j), i < j in index order, of coinciding images.
+    """The first pair (i, j), i < j in index order, of coinciding images
+    over a finite field.
 
-    Over a finite field each image is normalized so that its first nonzero
-    entry is 1, the key of its ProjectivePoint, and a repeat is found by
-    hashing.  All leads are inverted at once (Montgomery's trick): one
-    inversion of the product of the leads, then each lead's inverse by
-    back-substitution through the prefix products.  The zero image (of
-    the center itself) coincides with every other.  Polynomial images
-    cannot be normalized, so they are compared pairwise by 2×2 minors.
+    Each image is normalized so that its first nonzero entry is 1, the key
+    of its ProjectivePoint, and a repeat is found by hashing.  All leads
+    are inverted at once (Montgomery's trick): one inversion of the
+    product of the leads, then each lead's inverse by back-substitution
+    through the prefix products.  The zero image (of the center itself)
+    coincides with every other.  A projection from the generic center
+    needs no search: no two of its images coincide (see `project`).
     """
-    if not ring.finite:
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if proportional(images[i], images[j]):
-                    return i, j
-        return None
     F = ring.field
     mul, is_zero = F.mul_rep, F.rep_is_zero
     reps = [[F.element(c).rep for c in img] for img in images]
@@ -353,16 +356,52 @@ def unexpected_cone_dim(Z: PointSet, d: int, P: GeneralPoint):
 
     Degree-d forms in I(P)^d are exactly pullbacks of plane degree-d
     curves under projection from P, so lhs equals the corank of the
-    projected point conditions — a much smaller elimination than the
-    stacked 4-variable matrix, and one that needs no kernel basis.
+    projected point conditions M, a much smaller matrix than the stacked
+    4-variable one.  At the generic center, lhs is first bounded from both
+    sides with no elimination over F_q[a,b,c] (`_corank_bounds`); only
+    when the bounds differ does fraction-free elimination
+    (`condition_rank`) decide.
     """
     if d < 1:
         raise CoreError("degree must be >= 1")
-    mat = project(Z, P).condition_rows(d)
-    lhs = mat.ncols - condition_rank(mat)
+    S = project(Z, P)
+    lower, upper = (0, None) if S.ring.finite else _corank_bounds(Z, S, d)
+    if lower == upper:
+        lhs = lower
+    else:
+        mat = S.condition_rows(d)
+        lhs = mat.ncols - condition_rank(mat)
     n = Z.dim
     rhs = max(0, hilbert_value(Z, d) - math.comb(d + n - 1, n))
     return lhs, rhs, lhs > rhs
+
+
+def _corank_bounds(Z, S: ProjectedScheme, d: int) -> tuple:
+    """(lower, upper) bounds on the corank of the degree-d conditions of
+    the generic projection S, from one specialization.
+
+    Setting (a,b,c) to the seeded center R = GeneralPoint.random(F, 0)
+    can only lower the rank, so the corank at R is an upper bound.  Each
+    structural hint of degree e <= d that vanishes on S, checked factor by
+    factor, times every monomial of degree d − e lies in the kernel; a
+    nonzero minor of these members at R is a nonzero minor generically,
+    so their rank at R is a lower bound."""
+    R = GeneralPoint.random(Z.field, 0)
+    E, monos = R.ring.field, monomials(3, d)
+    col = {e: i for i, e in enumerate(monos)}
+    conditions = [[c.rep for c in row] for row in project(Z, R).condition_rows(d).rows]
+    members = []
+    for h, factors in _structural_hints(Z, S, range(1, d + 1)):
+        if not _vanishes_on(factors, S):
+            continue
+        terms = specialize_coefficients(h, R.ring, R.coords[:3]).coeffs.items()
+        for m in monomials(3, d - h.degree):
+            row = [E.zero_rep] * len(monos)
+            for e, c in terms:
+                row[col[tuple(x + y for x, y in zip(e, m))]] = c.rep
+            members.append(row)
+    lower = len(row_reduce(E, members)[0])
+    return lower, len(monos) - len(row_reduce(E, conditions)[0])
 
 
 def unexpectedness_inequality(q: int):
@@ -523,11 +562,13 @@ def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
             (0, 0, 1): a[0] * b[1] - a[1] * b[0],
         }
         lines.append(HomogeneousForm(ring, 3, 1, lin))
-    return [(math.prod(lines[1:], start=lines[0]), lines)]
+    return [(ProductForm(lines), lines)]
 
 
 def _collinear_partition(Z: PointSet, parts: int):
     """Partition Z into exactly `parts` collinear classes (each >= 2 pts)."""
+    if parts * (Z.field.size + 1) < len(Z):  # a line has q + 1 points
+        return None
     classes = collinear_classes(Z)
     # try larger classes first so the part count shrinks fastest
     classes.sort(key=lambda c: (-len(c), c))
@@ -575,11 +616,12 @@ class GeprociVerdict:
         return d
 
 
-def _structural_hints(Z, S: ProjectedScheme, alpha: int, beta: int, field) -> list:
-    """(form, factors) pairs; the cone curve is its own only factor."""
+def _structural_hints(Z, S: ProjectedScheme, degrees) -> list:
+    """(form, factors) pairs of the given degrees; the cone curve is its
+    own only factor."""
     hints = []
-    for degree in sorted({alpha, beta}):
-        hints.extend((f, [f]) for f in frobenius_curve_candidate(Z, S, degree, field))
+    for degree in sorted(set(degrees)):
+        hints.extend((f, [f]) for f in frobenius_curve_candidate(Z, S, degree, Z.field))
         hints.extend(line_product_candidates(Z, S, degree))
     return hints
 
@@ -610,7 +652,7 @@ def geproci_check(
     if mode == "generic":
         P = GeneralPoint.generic(field)
         S = project(Z, P)
-        hints = _structural_hints(Z, S, alpha, beta, field)
+        hints = _structural_hints(Z, S, (alpha, beta))
         try:
             cert = certify_complete_intersection(S, alpha, beta, hints)
         except NotCompleteIntersection as e:
@@ -626,7 +668,7 @@ def geproci_check(
         P = GeneralPoint.random(field, (seed + t) * 1000)
         m = P.m
         S = project(Z, P)
-        hints = _structural_hints(Z, S, alpha, beta, field)
+        hints = _structural_hints(Z, S, (alpha, beta))
         try:
             cert = certify_complete_intersection(S, alpha, beta, hints)
         except NotCompleteIntersection as e:
@@ -735,7 +777,7 @@ def residual_check(Z: PointSet, Zp: PointSet, alpha: int, gamma: int, beta: int)
     S = project(Z, P)
     # I(Z) ⊆ I(Z'), so any degree-beta curve through the projection of Z
     # works for both; structural candidates are tried before interpolation
-    hints = _structural_hints(Z, S, beta, beta, Z.field)
+    hints = _structural_hints(Z, S, (beta,))
     Sp = project(Zp, P)
     candidates = [(h, factors) for h, factors in hints if _vanishes_on(factors, S)]
     candidates += [(f, [f]) for f in interpolate_curve(S, beta).forms]

@@ -13,6 +13,8 @@ binomials that vanish mod p, and adds each of the form's scalars into one
 sum per coefficient of the binary result, all on field reps.
 :func:`coprime_certificate` restricts both curves to the lines of a
 pencil with it and takes the resultant of each pair of restrictions.
+A :class:`ProductForm` is evaluated, restricted and specialized factor by
+factor.
 :func:`condition_matrix` builds the condition matrix of
 (point, direction-or-None) entries: a point imposes its value, and a
 direction the derivative along it.  Finite-field matrices, condition
@@ -222,7 +224,7 @@ class HomogeneousForm:
     def proportional_to(self, other: "HomogeneousForm") -> bool:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        if set(self.coeffs) != set(other.coeffs):
+        if self.degree != other.degree or set(self.coeffs) != set(other.coeffs):
             return False
         e0 = next(iter(sorted(self.coeffs)))
         ratio_num, ratio_den = other.coeffs[e0], self.coeffs[e0]
@@ -257,6 +259,33 @@ class HomogeneousForm:
 
     def __repr__(self):
         return self.serialize()
+
+
+class ProductForm(HomogeneousForm):
+    """The product of nonempty `factors`, kept factored.  Evaluation,
+    restriction to a line and specialization of the coefficients are ring
+    homomorphisms, so they act factor by factor and give the values the
+    expansion would.  `coeffs` expands the product, f0·f1·…·fk folded
+    from the left, on first use (serialize, equality, proportionality)."""
+
+    def __init__(self, factors):
+        self.factors = list(factors)
+        self.ring, self.nvars = self.factors[0].ring, self.factors[0].nvars
+        self.degree = sum(f.degree for f in self.factors)
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            self._coeffs = functools.reduce(operator.mul, self.factors).coeffs
+        return self._coeffs
+
+    def is_zero(self):
+        # the scalars form a domain
+        return any(f.is_zero() for f in self.factors)
+
+    def map_factors(self, fn) -> "ProductForm":
+        return ProductForm([fn(f) for f in self.factors])
 
 
 def _scalar_str(c) -> str:
@@ -360,6 +389,14 @@ def evaluate(f: HomogeneousForm, point) -> object:
         raise DimensionMismatch(
             f"form in {f.nvars} variables evaluated at a {len(coords)}-tuple"
         )
+    if isinstance(f, ProductForm):
+        values = []
+        for g in f.factors:
+            v = evaluate(g, coords)
+            if v.is_zero():  # the scalars form a domain
+                return v
+            values.append(v)
+        return functools.reduce(operator.mul, values)
     return form_value(f, evaluation_row(f.ring, coords, list(f.coeffs)))
 
 
@@ -401,7 +438,9 @@ def restrict_to_line(f: HomogeneousForm, A, B) -> HomogeneousForm:
     x^e = x^((e-1) mod (s-1) + 1) for e >= 1, so its power table grows only
     to the largest such exponent a term reads: the x^q of a Frobenius form
     over F_q cost no products.  The binomial C(e, j) mod p is its own rep
-    in every field."""
+    in every field.  A ProductForm restricts factor by factor."""
+    if isinstance(f, ProductForm):
+        return f.map_factors(lambda g: restrict_to_line(g, A, B))
     ring = f.ring
     d = f.degree
     E = _common_field([c.field for c in (*A, *B, *f.coeffs.values())])
@@ -687,7 +726,12 @@ def _univariate_resultant(a: list, b: list, ring: ScalarRing):
     return FieldElement(E, row_reduce(E, reps)[2])
 
 
-def _specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
+def specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
+    """The form over `ring` with each polynomial coefficient evaluated at
+    `values`, one field element per variable; a ProductForm factor by
+    factor."""
+    if isinstance(form, ProductForm):
+        return form.map_factors(lambda g: specialize_coefficients(g, ring, values))
     coeffs = {e: c.eval(values) for e, c in form.coeffs.items()}
     return HomogeneousForm(ring, form.nvars, form.degree, coeffs)
 
@@ -710,8 +754,8 @@ def _coprime_by_specialization(f: HomogeneousForm, g: HomogeneousForm):
     for _ in range(3):
         values = [E.from_index(rng.randrange(E.size)) for _ in range(nvals)]
         try:
-            fs = _specialize_coefficients(f, spec_ring, values)
-            gs = _specialize_coefficients(g, spec_ring, values)
+            fs = specialize_coefficients(f, spec_ring, values)
+            gs = specialize_coefficients(g, spec_ring, values)
             result = coprime_certificate(fs, gs)
         except (ZeroDivisionError, ZeroInput):
             continue

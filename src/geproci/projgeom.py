@@ -145,7 +145,7 @@ class PointSet:
 
     def __init__(self, field, points: Iterable[ProjectivePoint], dim: int = None):
         members = frozenset(points)
-        pts = sorted(members)
+        pts = sorted(members, key=ProjectivePoint.key)
         if dim is None:
             if not pts:
                 raise GeometryError("empty point set needs an explicit dimension")
@@ -252,17 +252,21 @@ def collinear_classes(Z: PointSet) -> list:
     two points lie on one line through p iff their normalized directions
     are equal.  A class is emitted at its smallest member and ORed into
     `done` of each member, so the projection from a later member skips the
-    points already in a class with it.  The classes are computed once per
-    set; each call returns a fresh list.
+    points already in a class with it.  Over a prime field the directions
+    are formed and normalized on plain ints mod p, otherwise by the field's
+    rep methods.  The classes are computed once per set; each call returns
+    a fresh list.
     """
     if Z._classes is None:
         Z._classes = _collinear_classes(Z)
     return list(Z._classes)
 
 
-def _collinear_classes(Z: PointSet) -> list:
+def _collinear_classes(Z: PointSet, ints: bool = None) -> list:
     F = Z.field
+    ints = F.base is None if ints is None else ints
     sub, mul, inv, is_zero = F.sub_rep, F.mul_rep, F.inv_rep, F.rep_is_zero
+    prime = F.size  # when `ints`, the field is prime and its reps are ints mod p
     pts = [p.reps for p in Z.points]
     done = [0] * len(pts)
     classes = []
@@ -275,9 +279,15 @@ def _collinear_classes(Z: PointSet) -> list:
                 continue
             r = pts[k]
             t = r[c]
-            d = [sub(x, mul(t, y)) for x, y in zip(r, p)]
-            s = inv(next(x for x in d if not is_zero(x)))
-            buckets.setdefault(tuple(mul(x, s) for x in d), [i]).append(k)
+            if ints:
+                d = [(x - t * y) % prime for x, y in zip(r, p)]
+                s = pow(next(filter(None, d)), -1, prime)
+                key = tuple([x * s % prime for x in d])
+            else:
+                d = [sub(x, mul(t, y)) for x, y in zip(r, p)]
+                s = inv(next(x for x in d if not is_zero(x)))
+                key = tuple([mul(x, s) for x in d])
+            buckets.setdefault(key, [i]).append(k)
         for members in buckets.values():
             mask = sum(1 << k for k in members)
             for k in members:

@@ -348,6 +348,93 @@ def test_unexpected_cone_small(F2, P3F2):
     assert (lhs, rhs, unexpected) == (1, 0, True)
 
 
+def _bareiss_corank(S, d):
+    mat = S.condition_rows(d)
+    return mat.ncols - multipoly.condition_rank(mat)
+
+
+@pytest.mark.parametrize("q,degrees", [(2, range(1, 6)), (3, range(1, 5))])
+def test_corank_sandwich_meets_bareiss_on_full_spaces(q, degrees):
+    F = parse_field_spec(f"p={q}")
+    Z = PointSet(F, enumerate_projective_space(F, 3), 3)
+    S = core.project(Z, core.GeneralPoint.generic(F))
+    for d in degrees:
+        lower, upper = core._corank_bounds(Z, S, d)
+        assert lower == upper == _bareiss_corank(S, d), d
+
+
+def test_corank_sandwich_falls_back_to_bareiss_when_the_bounds_differ(monkeypatch):
+    calls = []
+    echelon = multipoly._bareiss_echelon
+    monkeypatch.setattr(multipoly, "_bareiss_echelon", lambda mat: calls.append(mat) or echelon(mat))
+    rng = random.Random(27)
+    differed = 0
+    for q in (2, 2, 3, 3):
+        F = parse_field_spec(f"p={q}")
+        space = enumerate_projective_space(F, 3).points
+        Z = PointSet(F, rng.sample(space, rng.randrange(4, 12)), 3)
+        P = core.GeneralPoint.generic(F)
+        S = core.project(Z, P)
+        for d in (q + 1, q + 2):
+            lower, upper = core._corank_bounds(Z, S, d)
+            calls.clear()
+            lhs, _, _ = core.unexpected_cone_dim(Z, d, P)
+            assert lower <= lhs <= upper
+            assert bool(calls) == (lower != upper)
+            if lower != upper:
+                assert lhs == _bareiss_corank(S, d)
+                differed += 1
+    assert differed >= 4
+
+
+def test_unexpected_cones_of_full_spaces_need_no_elimination(monkeypatch, P3F2, P3F3):
+    import math
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran on the sandwich path")
+
+    # the hashed collision test runs only at the finite seeded center
+    rings, first_collision = [], core._first_collision
+    monkeypatch.setattr(core, "_first_collision",
+                        lambda ring, images: rings.append(ring) or first_collision(ring, images))
+    monkeypatch.setattr(multipoly, "_bareiss_echelon", must_not_run)
+    monkeypatch.setattr(multipoly, "proportional", must_not_run)
+    monkeypatch.setattr(math, "prod", must_not_run)
+    for Z, d, expected in ((P3F2, 3, (1, 0, True)), (P3F2, 4, (3, 0, True)),
+                           (P3F2, 5, (7, 6, True)), (P3F3, 4, (1, 0, True))):
+        assert core.unexpected_cone_dim(Z, d, core.GeneralPoint.generic(Z.field)) == expected
+    assert len(rings) == 4 and all(ring.finite for ring in rings)
+
+
+def test_generic_check_keeps_the_line_product_factored(monkeypatch, P3F3):
+    import math
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("expanded the product or searched for collisions")
+
+    monkeypatch.setattr(core, "_first_collision", must_not_run)
+    monkeypatch.setattr(multipoly, "proportional", must_not_run)
+    monkeypatch.setattr(math, "prod", must_not_run)
+    v = core.geproci_check(P3F3, 4, 10, mode="generic")
+    g = v.certificate.g
+    assert v.geproci and isinstance(g, multipoly.ProductForm) and g._coeffs is None
+    assert len(g.factors) == 10 and g.degree == 10
+    monkeypatch.undo()
+    S = core.project(P3F3, core.GeneralPoint.generic(P3F3.field))
+    assert v.certificate.recheck(S)
+    S.entries.append(([S.ring.one(), *S.ring.gens()[:2]], None))
+    assert not v.certificate.recheck(S)
+
+
+def test_generic_projection_refuses_any_other_polynomial_center(F2, P3F2):
+    P = core.GeneralPoint.generic(F2)
+    a, b, c, one = P.coords
+    for coords in ([b, a, c, one], [a, b, c, a], [a, b, a + c, one]):
+        P.coords = coords
+        with pytest.raises(core.CollisionDetected, match="must be"):
+            core.project(P3F2, P)
+
+
 def test_unexpectedness_inequality_values():
     lhs, rhs, holds = core.unexpectedness_inequality(2)
     assert (lhs, rhs, holds) == (6, 6, False)

@@ -1,6 +1,8 @@
 """Forms, evaluation/derivative conditions, kernels, coprimality."""
 import functools
 import hashlib
+import math
+import operator
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from geproci.multipoly import (
     CoprimalityWitness,
     DependentDirection,
     HomogeneousForm,
+    ProductForm,
     ScalarRing,
     ZeroInput,
     condition_matrix,
@@ -27,6 +30,7 @@ from geproci.multipoly import (
     monomials,
     restrict_to_line,
     scalar_is_zero,
+    specialize_coefficients,
 )
 from geproci.projgeom import PointSet, all_lines, enumerate_projective_space
 
@@ -208,6 +212,57 @@ def test_coprimality_witnesses_are_pinned():
     assert (len(rows), sheared, common) == (296, 143, 116)
     digest = hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
     assert digest == WITNESS_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2"])
+def test_product_form_acts_like_its_expansion(spec):
+    """Restriction to a line, specialization and evaluation act factor by
+    factor and agree with the expanded product, as do the text and the
+    coprimality witness."""
+    F = parse_field_spec(spec)
+    ring = ScalarRing(F, ("a", "b", "c"))
+    E = extend_field(F, 5)
+    rng = random.Random(spec)
+    a, b, c = ring.gens()
+
+    def element(K):
+        return K.from_index(rng.randrange(K.size))
+
+    def scalar():
+        return ring.const(element(F)) + rng.choice((a, b, c, a * b, c * c)) * element(F)
+
+    def form(degree):
+        while True:
+            f = HomogeneousForm(ring, 3, degree, {e: scalar() for e in monomials(3, degree)
+                                                  if rng.random() < 0.6})
+            if not f.is_zero():
+                return f
+
+    for _ in range(6):
+        factors = [form(rng.randint(1, 2)) for _ in range(rng.randint(1, 4))]
+        prod = ProductForm(factors)
+        expanded = functools.reduce(operator.mul, factors)
+        assert prod.degree == expanded.degree and not prod.is_zero()
+        A, B = ([element(F) for _ in range(3)] for _ in range(2))
+        assert restrict_to_line(prod, A, B) == restrict_to_line(expanded, A, B)
+        point = [scalar() for _ in range(3)]
+        assert evaluate(prod, point) == evaluate(expanded, point)
+        values = [element(E) for _ in range(3)]
+        special = specialize_coefficients(prod, ScalarRing(E), values)
+        assert isinstance(special, ProductForm)
+        assert special == specialize_coefficients(expanded, ScalarRing(E), values)
+        A, B = ([element(E) for _ in range(3)] for _ in range(2))
+        assert (restrict_to_line(special, A, B).coeff_vector()
+                == restrict_to_line(specialize_coefficients(expanded, ScalarRing(E), values),
+                                    A, B).coeff_vector())
+        f = form(rng.randint(1, 2))
+        w, w_expanded = coprime_certificate(f, prod), coprime_certificate(f, expanded)
+        assert (type(w), w.variable, getattr(w, "shear", None), w.note) == (
+            type(w_expanded), w_expanded.variable, getattr(w_expanded, "shear", None),
+            w_expanded.note)
+        assert prod._coeffs is None  # nothing above expanded the product
+        assert prod.serialize() == math.prod(factors[1:], start=factors[0]).serialize()
+        assert prod.proportional_to(expanded) and prod == expanded
 
 
 # ---------------------------------------------------------------------------

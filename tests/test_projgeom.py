@@ -213,6 +213,41 @@ def test_collinear_subsets_match_the_oracle_on_random_subsets():
         _assert_every_pair_once(Z)
 
 
+@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=7"])
+def test_collinear_classes_int_loop_matches_the_rep_loop(spec, monkeypatch):
+    F = parse_field_spec(spec)
+    rng = random.Random(F.size)
+    space = enumerate_projective_space(F, 3).points
+    sets = [PointSet(F, rng.sample(space, rng.randrange(2, min(len(space), 80))), 3)
+            for _ in range(6)] + [PointSet(F, space, 3)]
+    by_reps = [projgeom._collinear_classes(Z, ints=False) for Z in sets]
+
+    def no_rep_method(*args):
+        raise AssertionError("a rep method ran over a prime field")
+
+    for name in ("sub_rep", "mul_rep", "inv_rep"):
+        monkeypatch.setattr(F, name, no_rep_method)
+    assert [projgeom._collinear_classes(Z) for Z in sets] == by_reps
+
+
+@pytest.mark.parametrize("spec,rep_order_is_index_order", [
+    ("p=2;ext=2", True), ("p=3;ext=2", True), ("p=2;ext=2;ext=2", False)])
+def test_point_set_reads_one_key_per_point(spec, rep_order_is_index_order, monkeypatch):
+    F = parse_field_spec(spec)
+    points = list(enumerate_projective_space(F, 3).points)
+    # over a tower on a non-prime base the reps are not in index order, so
+    # a sort by reps would differ from the canonical one
+    assert (sorted(points, key=lambda p: p.reps) == points) == rep_order_is_index_order
+    random.Random(F.size).shuffle(points)
+    calls = []
+    key = ProjectivePoint.key
+    monkeypatch.setattr(ProjectivePoint, "key", lambda p: calls.append(p) or key(p))
+    Z = PointSet(F, points, 3)
+    assert len(calls) == len(points)
+    monkeypatch.undo()
+    assert list(Z.points) == sorted(points) == sorted(points, key=lambda p: [c.index for c in p.coords])
+
+
 def test_collinear_classes_of_small_sets(F3):
     empty = PointSet(F3, [], 3)
     assert collinear_classes(empty) == []
