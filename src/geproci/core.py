@@ -365,6 +365,7 @@ def unexpected_cone_dim(Z: PointSet, d: int, P: GeneralPoint):
     if d < 1:
         raise CoreError("degree must be >= 1")
     S = project(Z, P)
+    # a finite center has no bounds: its rank is one finite elimination
     lower, upper = (0, None) if S.ring.finite else _corank_bounds(Z, S, d)
     if lower == upper:
         lhs = lower

@@ -708,7 +708,8 @@ def test_vanishes_on_factors_refutes_an_extra_image_point(P3F2):
 def test_hints_are_tested_line_by_line(monkeypatch, P3F3):
     # the degree-10 product of a spread's lines vanishes on the projection
     # of PG(3,3); the hint filter evaluates only its lines and the degree-4
-    # cone curve, while recheck evaluates the certificate's expanded forms
+    # cone curve, while recheck evaluates the certificate's forms (the
+    # product line by line, inside `evaluate`)
     degrees = []
     evaluate_ = core.evaluate
 
