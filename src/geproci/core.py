@@ -386,13 +386,22 @@ def _corank_bounds(Z, S: ProjectedScheme, d: int) -> tuple:
     structural hint of degree e <= d that vanishes on S, checked factor by
     factor, times every monomial of degree d − e lies in the kernel; a
     nonzero minor of these members at R is a nonzero minor generically,
-    so their rank at R is a lower bound."""
+    so their rank at R is a lower bound.  The upper bound comes first:
+    when it is 0, so is lhs, and no hint is built; when the hints have
+    fewer members than it, the bounds cannot meet, and 0 is returned as
+    the lower bound with no hint checked."""
     R = GeneralPoint.random(Z.field, 0)
     E, monos = R.ring.field, monomials(3, d)
-    col = {e: i for i, e in enumerate(monos)}
     conditions = [[c.rep for c in row] for row in project(Z, R).condition_rows(d).rows]
+    upper = len(monos) - len(row_reduce(E, conditions)[0])
+    if upper == 0:
+        return 0, 0
+    hints = _structural_hints(Z, S, range(1, d + 1))
+    if sum(math.comb(d - h.degree + 2, 2) for h, _ in hints) < upper:
+        return 0, upper
+    col = {e: i for i, e in enumerate(monos)}
     members = []
-    for h, factors in _structural_hints(Z, S, range(1, d + 1)):
+    for h, factors in hints:
         if not _vanishes_on(factors, S):
             continue
         terms = specialize_coefficients(h, R.ring, R.coords[:3]).coeffs.items()
@@ -401,8 +410,7 @@ def _corank_bounds(Z, S: ProjectedScheme, d: int) -> tuple:
             for e, c in terms:
                 row[col[tuple(x + y for x, y in zip(e, m))]] = c.rep
             members.append(row)
-    lower = len(row_reduce(E, members)[0])
-    return lower, len(monos) - len(row_reduce(E, conditions)[0])
+    return len(row_reduce(E, members)[0]), upper
 
 
 def unexpectedness_inequality(q: int):

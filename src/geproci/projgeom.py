@@ -262,11 +262,11 @@ def collinear_classes(Z: PointSet) -> list:
     return list(Z._classes)
 
 
-def _collinear_classes(Z: PointSet, ints: bool = None) -> list:
+def _collinear_classes(Z: PointSet) -> list:
     F = Z.field
-    ints = F.base is None if ints is None else ints
+    ints = F.base is None  # a prime field: its reps are ints mod p
     sub, mul, inv, is_zero = F.sub_rep, F.mul_rep, F.inv_rep, F.rep_is_zero
-    prime = F.size  # when `ints`, the field is prime and its reps are ints mod p
+    prime = F.size
     pts = [p.reps for p in Z.points]
     done = [0] * len(pts)
     classes = []

@@ -387,6 +387,27 @@ def test_corank_sandwich_falls_back_to_bareiss_when_the_bounds_differ(monkeypatc
     assert differed >= 4
 
 
+def test_corank_sandwich_builds_no_hint_it_cannot_use(monkeypatch, P3F2):
+    def must_not_run(*args):
+        raise AssertionError("a hint was built or checked")
+
+    # 15 points impose independent conditions on the 6 conics: upper = 0
+    S = core.project(P3F2, core.GeneralPoint.generic(P3F2.field))
+    with monkeypatch.context() as m:
+        m.setattr(core, "_structural_hints", must_not_run)
+        assert core._corank_bounds(P3F2, S, 2) == (0, 0)
+    # a frame of PG(3,3): two line pairs (6 members) and the Frobenius
+    # quartic (1) at d = 4, fewer than the 15 - 4 = 11 the bounds need
+    F3 = parse_field_spec("p=3")
+    Z = PointSet(F3, [ProjectivePoint(F3, c) for c in
+                      ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])], 3)
+    P = core.GeneralPoint.generic(F3)
+    S = core.project(Z, P)
+    monkeypatch.setattr(core, "_vanishes_on", must_not_run)
+    assert core._corank_bounds(Z, S, 4) == (0, 11)
+    assert core.unexpected_cone_dim(Z, 4, P)[0] == _bareiss_corank(S, 4) == 11
+
+
 def test_unexpected_cones_of_full_spaces_need_no_elimination(monkeypatch, P3F2, P3F3):
     import math
 

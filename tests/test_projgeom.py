@@ -200,34 +200,26 @@ def test_collinear_subsets_match_the_oracle_on_the_40_points(forty_points_q7):
     assert len(full) >= 45
 
 
-def test_collinear_subsets_match_the_oracle_on_random_subsets():
+def test_collinear_subsets_match_the_oracle_on_random_subsets(monkeypatch):
     from geproci.fields import parse_field_spec
+
+    def no_rep_method(*args):
+        raise AssertionError("a rep method ran over a prime field")
 
     rng = random.Random(7)
     for spec in ["p=2", "p=3", "p=2;ext=2", "p=5", "p=7"] * 4:
         F = parse_field_spec(spec)
         space = enumerate_projective_space(F, 3).points
         Z = PointSet(F, rng.sample(space, rng.randrange(2, min(len(space), 60))), 3)
+        if F.base is None:
+            # over a prime field the classes are formed on plain ints mod p
+            with monkeypatch.context() as m:
+                for name in ("sub_rep", "mul_rep", "inv_rep"):
+                    m.setattr(F, name, no_rep_method)
+                collinear_classes(Z)
         for k in (2, 3):
             assert _keyed(collinear_subsets(Z, k)) == _pairwise_oracle(Z, k)
         _assert_every_pair_once(Z)
-
-
-@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=7"])
-def test_collinear_classes_int_loop_matches_the_rep_loop(spec, monkeypatch):
-    F = parse_field_spec(spec)
-    rng = random.Random(F.size)
-    space = enumerate_projective_space(F, 3).points
-    sets = [PointSet(F, rng.sample(space, rng.randrange(2, min(len(space), 80))), 3)
-            for _ in range(6)] + [PointSet(F, space, 3)]
-    by_reps = [projgeom._collinear_classes(Z, ints=False) for Z in sets]
-
-    def no_rep_method(*args):
-        raise AssertionError("a rep method ran over a prime field")
-
-    for name in ("sub_rep", "mul_rep", "inv_rep"):
-        monkeypatch.setattr(F, name, no_rep_method)
-    assert [projgeom._collinear_classes(Z) for Z in sets] == by_reps
 
 
 @pytest.mark.parametrize("spec,rep_order_is_index_order", [
