@@ -267,7 +267,12 @@ def search_maximal_partial_spreads(
     the emitted sets (None keeps all).  Modes: `exhaustive` walks the whole
     tree, `first` stops at the first emitted spread, `sample` visits
     branches in a seeded pseudorandom order (seed required).  Every child
-    counts one node against `node_budget`, in preorder.
+    counts one node against `node_budget`, in preorder.  In index order, a
+    node whose children are `need` lines short of min(sizes) has a dead
+    tail: its last `need` children can be neither emitted nor expanded.
+    They are counted in one addition, not visited; the tail is last in
+    preorder and childless, so the count, the truncation point and the
+    spreads found are those of the child-by-child walk.
     """
     if mode not in ("first", "exhaustive", "sample"):
         raise SpreadError(f"unknown mode {mode!r}")
@@ -295,8 +300,35 @@ def search_maximal_partial_spreads(
         only if it has candidates of its own.  Children have `size` lines.
         Returns True when the search stops (budget or first spread)."""
         nonlocal nodes, truncated
-        emit = sizes_set is None or size in sizes_set
         need = min_size - size  # further lines a child needs to reach min_size
+        if need > 0 and rng is None:
+            # No child is emitted here, and the last `need` children (the
+            # dead tail) have fewer than `need` candidates above them, so
+            # only the `live` others are visited.  A node is expanded only
+            # with more than `need` candidates, so live > 0.
+            live, rest = cand_gt.bit_count() - need, cand_gt  # rest: not yet visited
+            while live > 0:
+                live -= 1
+                low = rest & -rest
+                rest ^= low
+                nodes += 1
+                if nodes > node_budget:
+                    truncated = True
+                    return True
+                i = low.bit_length() - 1
+                child_gt = rest & skew_gt[i]
+                if child_gt.bit_count() >= need:
+                    path.append(i)
+                    if expand(size + 1, child_gt, cand_all & skew[i]):
+                        return True
+                    path.pop()
+            nodes += need
+            if nodes > node_budget:  # where the per-child count would stop
+                nodes = node_budget + 1
+                truncated = True
+                return True
+            return False
+        emit = sizes_set is None or size in sizes_set
         order = None
         if rng is not None:
             order = _bit_indices(cand_gt)
@@ -352,6 +384,19 @@ def search_maximal_partial_spreads(
 # ---------------------------------------------------------------------------
 # per-field line table
 
+class _Lanes(dict):
+    """lanes[i] is masks[i] widened to byte lanes (_widen), built on its
+    first read: a fingerprint reads the lanes of its members only."""
+    __slots__ = ("masks",)
+
+    def __init__(self, masks):
+        self.masks = masks
+
+    def __missing__(self, i):
+        lane = self[i] = _widen(self.masks[i])
+        return lane
+
+
 class _LineTable(NamedTuple):
     lines: list   # all_lines(field), in key order
     index: dict   # line key -> position in `lines`
@@ -359,18 +404,17 @@ class _LineTable(NamedTuple):
     skew: list    # per line: bitmask of the lines skew to it
     meet: list    # per line: bitmask of the other lines meeting it
     npts: int
-    point_lanes: list  # `points` and `meet` widened to byte lanes (_widen)
-    meet_lanes: list
+    point_lanes: _Lanes  # `points` and `meet` in byte lanes, built when read
+    meet_lanes: _Lanes
 
 
-_line_tables: dict = {}
+_line_tables: dict = {}  # field -> its _LineTable
 
 
 def _line_table(field) -> _LineTable:
     """The incidence tables of PG(3,q) that the search and the fingerprints
     share, built once per field from the incidence of all its lines."""
-    key = field.spec_string()
-    tab = _line_tables.get(key)
+    tab = _line_tables.get(field)
     if tab is None:
         lines = all_lines(field)
         through, touching = _incidence(lines)
@@ -382,8 +426,8 @@ def _line_table(field) -> _LineTable:
         meet = [m ^ (1 << i) for i, m in enumerate(touching)]
         tab = _LineTable(lines, {l.key(): i for i, l in enumerate(lines)},
                          points, [full ^ m for m in touching], meet, len(through),
-                         [_widen(m) for m in points], [_widen(m) for m in meet])
-        _line_tables[key] = tab
+                         _Lanes(points), _Lanes(meet))
+        _line_tables[field] = tab
     return tab
 
 
@@ -412,7 +456,7 @@ def _sorted_lane_sums(rows, masks, lanes, width):
     masks[i], i in rows, added as plain ints in lanes that no sum overflows
     (the byte lanes lanes[i] below 256 rows) and counted off the sum's bytes."""
     if len(rows) < 256:
-        cells = sum([lanes[i] for i in rows]).to_bytes(width, sys.byteorder)
+        cells = sum(map(lanes.__getitem__, rows)).to_bytes(width, sys.byteorder)
     else:  # unsigned long lanes, widened here
         nbytes = array("L").itemsize
         total = sum(_widen(masks[i], nbytes) for i in rows)
@@ -438,7 +482,7 @@ def spread_fingerprint(S: PartialSpread):
     point degrees are read off the union of their point masks."""
     tab = _line_table(S.field)
     members = S._indices = S._indices or tuple(
-        [tab.index[k] for k in map(ProjectiveLine3.key, S.lines)])
+        map(tab.index.__getitem__, map(ProjectiveLine3.key, S.lines)))
     covered = reduce(or_, [tab.points[i] for i in members], 0).bit_count()
     if covered == len(members) * (S.field.size + 1):
         degrees = _sorted_counts((tab.npts - covered, covered))

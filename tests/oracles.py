@@ -6,6 +6,9 @@ The library reads incidence off point masks; `lines_skew` and
 `line_contains` answer the same questions by the rank of the spanning
 rows, independently of it.  `collinear_subsets` lists the lines through
 collinear classes with a row reduction each, as the library once did.
+`spread_search_reference` walks the skew graph child by child in index
+order, as `spreads.search_maximal_partial_spreads` did before it counted
+dead tails in bulk.
 `gauss_jordan` reduces a matrix column by column, as `fields.row_reduce`
 once did.  The `poly_*` functions act on `MultiPoly.terms` dicts (packed
 monomial key -> nonzero rep) through F's own `mul_rep`, `add_rep`,
@@ -39,6 +42,57 @@ def collinear_subsets(Z, k=3) -> list:
            for c in collinear_classes(Z) if len(c) >= k]
     out.sort(key=lambda lm: lm[0].key())
     return out
+
+
+def spread_search_reference(skew, sizes=None, mode="exhaustive", node_budget=10 ** 8,
+                            dead=None):
+    """(nodes, truncated, emitted) of the maximal-clique walk over the skew
+    graph whose line i is skew to the lines of the bitmask skew[i], in
+    modes `exhaustive` and `first`.  Children are visited in increasing
+    index, each counted as one node in preorder (the root is node 1); a
+    child is emitted, as (its node number, its line indices), when no line
+    is skew to all of it and its size is in `sizes`.  Node numbers of
+    children below min(sizes) that have fewer later siblings than the
+    lines they still need are appended to `dead`: they can be neither
+    emitted nor expanded."""
+    sizes = set(sizes) if sizes is not None else None
+    min_size = min(sizes) if sizes else 0
+    nodes, emitted, path = 1, [], []
+
+    class Stop(Exception):
+        pass
+
+    def expand(size, cand_gt, cand_all):
+        nonlocal nodes
+        children = [i for i in range(len(skew)) if cand_gt >> i & 1]
+        for k, i in enumerate(children):
+            nodes += 1
+            if nodes > node_budget:
+                raise Stop
+            if dead is not None and len(children) - 1 - k < min_size - size:
+                dead.append(nodes)
+            child_all = cand_all & skew[i]
+            if not child_all:
+                if sizes is None or size in sizes:
+                    emitted.append((nodes, (*path, i)))
+                    if mode == "first":
+                        raise Stop
+                continue
+            child_gt = cand_gt & skew[i] & -(2 << i)  # skew lines above i
+            if child_gt.bit_count() >= max(min_size - size, 1):
+                path.append(i)
+                expand(size + 1, child_gt, child_all)
+                path.pop()
+
+    full = (1 << len(skew)) - 1
+    try:
+        if node_budget < 1:
+            raise Stop
+        if len(skew) >= min_size:
+            expand(1, full, full)
+    except Stop:
+        return nodes, nodes > node_budget, emitted
+    return nodes, False, emitted
 
 
 def gauss_jordan(F, rows):

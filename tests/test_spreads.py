@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import random
+from itertools import pairwise
 import tracemalloc
 
 import pytest
@@ -24,7 +25,7 @@ from geproci.spreads import (
     write_spread,
 )
 
-from oracles import line_contains, lines_skew
+from oracles import line_contains, lines_skew, spread_search_reference
 
 
 @pytest.mark.parametrize("spec", ["p=2", "p=3", "p=2;ext=2", "p=5"])
@@ -100,6 +101,71 @@ def test_search_contract(spec, kwargs, expected):
     for S in res.spreads:
         assert S.maximal and S.is_pairwise_skew()
     assert res.anomalies == []
+
+
+def _skew_by_rank_tests(spec):
+    """Per line of PG(3,q), in all_lines order: the bitmask of the lines
+    skew to it, by rank tests."""
+    lines, meet = _rank_test_meet_masks(spec)
+    full = (1 << len(lines)) - 1
+    return [full ^ m ^ (1 << i) for i, m in enumerate(meet)]
+
+
+def _walk(F, sizes, mode, budget):
+    res = search_maximal_partial_spreads(F, sizes=sizes, mode=mode, node_budget=budget)
+    view = res.spreads
+    return res.nodes, res.truncated, [tuple(view.idx[a:b]) for a, b in pairwise(view.ends)]
+
+
+def _stopped_at(reference, budget, mode):
+    """What a walk with `node_budget=budget` gives, read off an exhaustive
+    reference walk (nodes, truncated, emitted) that counted past `budget`
+    or ran to the end."""
+    nodes, truncated, emitted = reference
+    assert budget < nodes or not truncated
+    if mode == "first" and emitted and emitted[0][0] <= budget:
+        return emitted[0][0], False, [emitted[0][1]]
+    if budget >= nodes:
+        return nodes, False, [run for _, run in emitted]
+    return budget + 1, True, [run for at, run in emitted if at <= budget]
+
+
+def test_search_matches_the_reference_walk_at_every_budget(F2, F3):
+    # The search counts the children that can be neither emitted nor
+    # expanded (the `dead` tail of each node below min(sizes)) without
+    # visiting them; the count, the truncation point and the spreads must
+    # still be those of the child-by-child walk at every node budget.
+    for sizes, count in ((None, 1212), ([5], 872)):
+        reference = spread_search_reference(_skew_by_rank_tests("p=2"), sizes)
+        assert reference[:2] == (count, False)
+        for mode in ("exhaustive", "first"):
+            for budget in range(reference[0] + 2):
+                assert _walk(F2, sizes, mode, budget) == _stopped_at(reference, budget, mode), \
+                    (sizes, mode, budget)
+    rng = random.Random(28)
+    skew3 = _skew_by_rank_tests("p=3")
+    horizon = 60_000  # the reference walk counts this far
+    for sizes in ([7, 8, 9], [7, 9]):
+        dead = []
+        reference = spread_search_reference(skew3, sizes, node_budget=horizon, dead=dead)
+        assert reference[:2] == (horizon + 1, True) and len(reference[2]) > 100
+        # runs a..z of consecutive dead node numbers (a node's tail, and its
+        # parent's when it follows): stop just before a run, inside it, and
+        # just after it
+        dead = set(dead)
+        tails = [(a, next(z for z in range(a, horizon + 1) if z + 1 not in dead))
+                 for a in sorted(dead) if a - 1 not in dead]
+        tails = rng.sample([(a, z) for a, z in tails if a + 1 < z < horizon], 4)
+        budgets = [b for a, z in tails for b in (a - 1, a, (a + z) // 2, z - 1, z, z + 1)]
+        budgets += rng.sample(range(1, horizon), 6) + [horizon]
+        inside = 0
+        for budget in budgets:
+            want = _stopped_at(reference, budget, "exhaustive")
+            assert _walk(F3, sizes, "exhaustive", budget) == want, (sizes, budget)
+            inside += want[1] and any(a <= want[0] <= z for a, z in tails)
+        assert inside >= 4 * 4  # the walk stopped in a dead tail, at a, a + 1, ..., z
+        for budget in range(400):
+            assert _walk(F3, sizes, "first", budget) == _stopped_at(reference, budget, "first")
 
 
 def test_search_builds_what_the_constructor_builds(F2):
@@ -387,6 +453,28 @@ def test_fingerprint_paths_match_the_oracle(monkeypatch, spec):
         S = PartialSpread(F, members)
         assert spread_fingerprint(S) == _fingerprint_oracle(S)
         assert len(calls) == n_sums, (len(members), calls)
+
+
+def test_fingerprint_widens_only_the_lanes_it_reads(monkeypatch):
+    # The q=7 line table has 2,850 lines; byte lanes for all of them held
+    # 9.9 MB (8.7 MB of meet lanes) of the 16.9 MB that the first
+    # fingerprint retained.  A regular spread's members are disjoint, so it
+    # reads the meet lanes of its 50 members and no point lanes.
+    F = parse_field_spec("p=7")
+    S = build_regular_spread(F)
+    monkeypatch.setattr(spreads, "_line_tables", {})  # built under tracemalloc
+    tracemalloc.start()
+    try:
+        fp = spread_fingerprint(S)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10e6, retained
+    tab = spreads._line_table(F)
+    assert len(tab.lines) == 2850 and sorted(tab.meet_lanes) == sorted(S._indices)
+    assert len(tab.point_lanes) == 0
+    # every point on one member; every other line meets q + 1 = 8 members
+    assert fp == ((1,) * 400, (0,) * 50 + (8,) * 2800)
 
 
 def test_verify_spread_reports_a_repeated_member_by_position(F2):
