@@ -267,12 +267,12 @@ def _reproduce_mps_q3(report):
     flags = core.classify(Z, 3, 4)
     report["spread_size"] = len(S.lines)
     report["spread_clean"] = rep.clean
-    report["spread_maximal"] = S.check_maximality()
+    report["spread_maximal"] = maximal = S.check_maximality()
     report["complement_points"] = len(Z.points)
     report["collinear_triples"] = len(triples)
     report["verdict"] = v.to_dict()
     report["classification"] = flags.to_dict()
-    print(f"7-line maximal partial spread verified: {rep.clean and S.check_maximality()}")
+    print(f"7-line maximal partial spread verified: {rep.clean and maximal}")
     print(f"complement: {len(Z.points)} points, {len(triples)} collinear triples, "
           f"(3,4)-geproci: {v.geproci}, half grid: {flags.half_grid_cover}")
 

@@ -13,11 +13,15 @@ Two working modes:
             fraction-free; verdicts are conclusive, except that a
             resultant which vanished at three deterministic
             specializations comes out as a negative without proof.
-  RANDOM  — P sampled from a large extension F_{q^m} with a seed, off
-            every line defined over F_q and so off every secant; positive
-            verdicts are probabilistic (bound reported); a negative is
-            conclusive only when a curve space is smaller than a complete
-            intersection needs (dimensions only grow under specialization).
+  RANDOM  — P sampled from a large extension F_{q^m} with a seed;
+            positive verdicts are probabilistic (bound reported); a
+            negative is conclusive only when a curve space is smaller than
+            a complete intersection needs (dimensions only grow under
+            specialization).
+
+In both modes P is general in one sense, checked once by `project`: it
+lies on no line defined over F_q, so no two images of a set or scheme
+over F_q coincide.
 
 A Frobenius cone is transversal to a line of PG(3, q) unless its
 restriction to the line is the zero binary form.
@@ -98,9 +102,10 @@ class GeneralPoint:
     def random(cls, field, seed: int, avoid: Optional[PointSet] = None) -> "GeneralPoint":
         """Sample from F_{q^m}, q^m >= 2^31, off every line defined over F_q.
 
-        Every secant of a point set of PG(3, q) is such a line, so no two
-        images of any set or scheme over F_q collide.  `avoid` is accepted
-        for older callers and not read.
+        This is the rule `project` checks for every finite center: every
+        secant or tangent line of a set or scheme over F_q is such a line,
+        so no two of its images collide.  `avoid` is accepted for older
+        callers and not read.
         """
         m = 1
         while field.size ** m < RANDOM_MIN_FIELD:
@@ -158,15 +163,27 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
 
     Points already on the target plane map to themselves and come first,
     which keeps later eliminations cheap (their condition rows are free of
-    the transcendentals).  Over a finite field, coinciding images raise
-    CollisionDetected (`_first_collision`).  A polynomial center must be
-    (a:b:c:1), and needs no search: it has transcendence degree 3 over F_q,
-    and the line through two points over F_q is defined over F_q, so it
-    holds no such center and no two images coincide.
+    the transcendentals).  P must be general, by one rule in both modes:
+    read as (a:b:c:1), it lies on no line defined over F_q = Z.field.  The
+    line through two points over F_q, or through a doubled point and its
+    tangent direction, is such a line, so no two images coincide and no
+    tangent degenerates.  A polynomial center must be the transcendental
+    (a:b:c:1), which has transcendence degree 3 over F_q.  A finite center
+    must have its coordinates in F_q or a one-layer extension of it, where
+    `_on_rational_line` decides, as GeneralPoint.random draws it.  Any
+    other center raises CollisionDetected.
     """
     ring = P.ring
     if not ring.finite and P.coords != [*ring.gens(), ring.one()]:
         raise CollisionDetected("a polynomial center must be (a:b:c:1); P is not general")
+    if ring.finite:
+        F, E = Z.field, ring.field
+        reps = [E.element(c).rep for c in P.coords]
+        if (E != F and E.base != F) or reps[3] != E.one_rep or _on_rational_line(F, E, reps):
+            raise CollisionDetected(
+                "a finite center must be (a:b:c:1) with coordinates in F_q or a one-layer "
+                "extension, and lie on no line defined over F_q; P is not general"
+            )
     constant_entries = []
     moving_entries = []
     for point, direction in Z.as_projection_entries():
@@ -176,51 +193,7 @@ def project(Z, P: GeneralPoint) -> ProjectedScheme:
         (constant_entries if on_plane and direction is None else moving_entries).append(
             (img, dir_img)
         )
-    entries = constant_entries + moving_entries
-    pair = _first_collision(ring, [img for img, _ in entries]) if ring.finite else None
-    if pair is not None:
-        raise CollisionDetected(
-            f"projected images {pair[0]} and {pair[1]} coincide; P is not general"
-        )
-    return ProjectedScheme(ring=ring, entries=entries, point=P)
-
-
-def _first_collision(ring: ScalarRing, images: list):
-    """The first pair (i, j), i < j in index order, of coinciding images
-    over a finite field.
-
-    Each image is normalized so that its first nonzero entry is 1, the key
-    of its ProjectivePoint, and a repeat is found by hashing.  All leads
-    are inverted at once (Montgomery's trick): one inversion of the
-    product of the leads, then each lead's inverse by back-substitution
-    through the prefix products.  The zero image (of the center itself)
-    coincides with every other.  A projection from the generic center
-    needs no search: no two of its images coincide (see `project`).
-    """
-    F = ring.field
-    mul, is_zero = F.mul_rep, F.rep_is_zero
-    reps = [[F.element(c).rep for c in img] for img in images]
-    leads = [next((x for x in r if not is_zero(x)), None) for r in reps]
-    prefix = [F.one_rep]  # prefix[j]: the product of the leads before image j
-    for lead in leads:
-        prefix.append(prefix[-1] if lead is None else mul(prefix[-1], lead))
-    inv = F.inv_rep(prefix[-1])
-    keys = [None] * len(reps)
-    for j in reversed(range(len(reps))):
-        if leads[j] is not None:  # inv is 1 / prefix[j + 1] here
-            inv_j = mul(inv, prefix[j])
-            keys[j] = tuple(mul(x, inv_j) for x in reps[j])
-            inv = mul(inv, leads[j])
-    first, pairs = {}, []
-    for j, key in enumerate(keys):
-        if key is None:
-            if len(images) > 1:
-                pairs.append((0, j or 1))
-        elif key in first:
-            pairs.append((first[key], j))
-        else:
-            first[key] = j
-    return min(pairs, default=None)
+    return ProjectedScheme(ring=ring, entries=constant_entries + moving_entries, point=P)
 
 
 def interpolate_curve(S: ProjectedScheme, degree: int) -> KernelBasis:
@@ -392,8 +365,8 @@ def _corank_bounds(Z, S: ProjectedScheme, d: int) -> tuple:
     the lower bound with no hint checked."""
     R = GeneralPoint.random(Z.field, 0)
     E, monos = R.ring.field, monomials(3, d)
-    conditions = [[c.rep for c in row] for row in project(Z, R).condition_rows(d).rows]
-    upper = len(monos) - len(row_reduce(E, conditions)[0])
+    mat = project(Z, R).condition_rows(d)
+    upper = mat.ncols - condition_rank(mat)
     if upper == 0:
         return 0, 0
     hints = _structural_hints(Z, S, range(1, d + 1))

@@ -294,6 +294,7 @@ class PrimeField(_Field):
         self.zero_rep = 0
         self.one_rep = 1
         self.packed = _Packing(p, (0, 1))  # one slot: the rep itself
+        self._hash = hash(("PrimeField", p))
 
     # rep-level ops
     def add_rep(self, a, b):
@@ -349,7 +350,7 @@ class PrimeField(_Field):
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return self._hash
 
 
 # Fields up to this size multiply and invert by log/antilog table lookups.

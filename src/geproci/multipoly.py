@@ -678,9 +678,9 @@ def kernel_of_conditions(mat: EvaluationMatrix) -> KernelBasis:
 
 
 def condition_rank(mat: EvaluationMatrix) -> int:
-    """Rank of the condition matrix; over F_q[a,b,c] no kernel basis is built."""
+    """Rank of the condition matrix; no kernel basis is built."""
     if mat.ring.finite:
-        return _finite_kernel(mat).rank
+        return len(row_reduce(mat.ring.field, [[c.rep for c in row] for row in mat.rows])[0])
     return len(_bareiss_echelon(mat)[0])
 
 

@@ -144,6 +144,18 @@ def _pairwise_first_collision(entries):
     return None
 
 
+NOT_GENERAL = "lie on no line defined over F_q; P is not general"
+
+
+def _center_on(line, E, rng):
+    """A center of E-coordinates, scaled to w = 1, on the E-span of a line
+    defined over the base field."""
+    while True:
+        coords = _point_on(line, E, rng).coords
+        if not coords[3].is_zero():
+            return [c / coords[3] for c in coords]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_projection_collision_on_a_secant(forty_points_q7, seed):
     Z = forty_points_q7
@@ -151,88 +163,93 @@ def test_random_projection_collision_on_a_secant(forty_points_q7, seed):
     E = good.ring.field
     S = core.project(Z, good)  # off every secant: no collision
     assert S.length == 40 and _pairwise_first_collision(S.entries) is None
-    # a point of E on the secant through two points of Z, scaled to w = 1
+    # a point of E on the secant through two points of Z: two images
+    # coincide, and the center is refused before any image is computed
     rng = random.Random(seed)
     u, v = rng.sample(Z.points, 2)
-    while True:
-        s, t = (E.from_index(rng.randrange(1, E.size)) for _ in range(2))
-        coords = [s * x + t * y for x, y in zip(u.coords, v.coords)]
-        if not coords[3].is_zero():
-            break
-    bad = core.GeneralPoint("random", good.ring, [c / coords[3] for c in coords], m=good.m)
-    with pytest.raises(core.CollisionDetected) as err:
+    bad = core.GeneralPoint("random", good.ring, _center_on(projgeom.line_through(u, v), E, rng),
+                            m=good.m)
+    assert _pairwise_first_collision([(core._image_coords(bad.ring, bad, p), None) for p in Z.points])
+    with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
         core.project(Z, bad)
-    # the pair named is the first one the pairwise minor test finds, with
-    # the images in project's order: points on the plane w = 0 first
-    order = sorted(Z.points, key=lambda p: not p.coords[3].is_zero())
-    i, j = _pairwise_first_collision([(core._image_coords(bad.ring, bad, p), None) for p in order])
-    assert f"projected images {i} and {j} coincide" in str(err.value)
+
+
+def test_random_projection_refuses_a_rational_line_off_the_secants(forty_points_q7):
+    # a line of PG(3, 7) with at most one point of Z is no secant, so no
+    # two images of Z coincide from a center on it; the center is still
+    # on a line defined over F_7, and so not general
+    Z = forty_points_q7
+    good = core.GeneralPoint.random(Z.field, seed=0)
+    E, rng = good.ring.field, random.Random(7)
+    members = set(Z.points)
+    lines = [L for L in all_lines(Z.field) if sum(p in members for p in L.points()) <= 1]
+    for line in rng.sample(lines, 3):
+        bad = core.GeneralPoint("random", good.ring, _center_on(line, E, rng), m=good.m)
+        images = [(core._image_coords(bad.ring, bad, p), None) for p in Z.points]
+        assert _pairwise_first_collision(images) is None
+        with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
+            core.project(Z, bad)
+
+
+def test_random_projection_refuses_a_center_on_a_tangent_line():
+    # the doubled point at A = (1:0:0:0) has tangent direction B = (0:0:0:1);
+    # from a center (s:0:0:1) on the line A-B, B's image is a multiple of
+    # A's, while the three supports keep distinct images
+    F2 = parse_field_spec("p=2")
+    Z = fatpoints.example_strange_conic_six(F2)
+    good = core.GeneralPoint.random(F2, seed=0)
+    E = good.ring.field
+    s = E.from_index(2)  # not in F_2
+    bad = core.GeneralPoint("random", good.ring, [s, E.zero(), E.zero(), E.one()], m=good.m)
+    supports = [(core._image_coords(bad.ring, bad, p), None) for p, _ in Z.as_projection_entries()]
+    assert _pairwise_first_collision(supports) is None
+    with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
+        core.project(Z, bad)
+    assert core.project(Z, good).length == 6
+
+
+def test_random_projection_refuses_a_center_two_layers_up(P3F2):
+    # a center sampled for F_4 lies in a degree-16 layer over F_4, off
+    # every F_4-line and so off every F_2-line, but two layers above F_2:
+    # its coordinates have no F_2-coefficients to test
+    F4 = parse_field_spec("p=2;ext=2")
+    P = core.GeneralPoint.random(F4, seed=0)
+    assert P.ring.field.base == F4
+    with pytest.raises(core.CollisionDetected, match="one-layer extension"):
+        core.project(P3F2, P)
+    assert core.project(PointSet(F4, enumerate_projective_space(F4, 3).points[:9], 3), P).length == 9
+
+
+def test_random_projection_refuses_a_center_with_w_other_than_1(P3F3):
+    # images are taken from (a:b:c:1); here (s:s:1:t) is off every F_3-line
+    # but (s:s:1:1) is on the line through (1:1:0:0) and (0:0:1:1)
+    good = core.GeneralPoint.random(P3F3.field, seed=0)
+    s, t = good.coords[:2]
+    E = good.ring.field
+    bad = core.GeneralPoint("random", good.ring, [s, s, E.one(), t], m=good.m)
+    assert not core._on_rational_line(P3F3.field, E, [c.rep for c in bad.coords])
+    assert _pairwise_first_collision([(core._image_coords(bad.ring, bad, p), None) for p in P3F3.points])
+    with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
+        core.project(P3F3, bad)
 
 
 def test_random_projection_from_a_point_of_the_set(F3):
     # the center's own image is zero and coincides with every other image
     Z = PointSet(F3, [ProjectivePoint(F3, c) for c in ([1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 1])], 3)
     ring = ScalarRing(F3)
-    for k, pt in enumerate(Z.points):
+    for pt in Z.points:
         P = core.GeneralPoint("random", ring, list(pt.coords), m=1)
-        with pytest.raises(core.CollisionDetected, match=f"images 0 and {k or 1} coincide"):
+        with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
             core.project(Z, P)
 
 
-def _first_collision_by_points(field, images):
-    """The first coinciding pair, one ProjectivePoint normalization per image."""
-    first, pairs = {}, []
-    for j, img in enumerate(images):
-        try:
-            key = ProjectivePoint(field, img).reps
-        except projgeom.GeometryError:
-            if len(images) > 1:
-                pairs.append((0, j or 1))
-            continue
-        if key in first:
-            pairs.append((first[key], j))
-        else:
-            first[key] = j
-    return min(pairs, default=None)
-
-
-@pytest.mark.parametrize("spec,m", [("p=7", 1), ("p=7", 12)])
-def test_first_collision_matches_per_image_normalization(spec, m):
-    F = parse_field_spec(spec)
-    E = extend_field(F, m) if m > 1 else F
-    ring = ScalarRing(E)
-    rng = random.Random(m)
-    zero = E.zero()
-
-    def image():
-        img = [E.from_index(rng.randrange(E.size)) for _ in range(3)]
-        for k in range(rng.randrange(3)):  # leads at every position
-            img[k] = zero
-        return img if any(not c.is_zero() for c in img) else image()
-
-    cases = [[], [[zero] * 3], [image()]]
-    for n in (2, 5, 12, 30):
-        for planted in range(4):
-            images = [image() for _ in range(n)]
-            for _ in range(planted):  # a nonzero multiple of an earlier image
-                i, j = sorted(rng.sample(range(n), 2))
-                s = E.from_index(rng.randrange(1, E.size))
-                images[j] = [s * c for c in images[i]]
-            cases.append(images)
-            cases.append([[zero] * 3] + images)
-            cases.append(images[:n // 2] + [[zero] * 3] + images[n // 2:])
-    found = [core._first_collision(ring, images) for images in cases]
-    assert found == [_first_collision_by_points(E, images) for images in cases]
-    assert any(f is None for f in found) and any(f not in (None, (0, 1)) for f in found)
-
-
-def test_projection_makes_one_inversion(forty_points_q7, monkeypatch):
+def test_projection_makes_no_inversion(forty_points_q7, monkeypatch):
     P = core.GeneralPoint.random(forty_points_q7.field, seed=0)
     E, calls = P.ring.field, []
     inv_rep = E.inv_rep
     monkeypatch.setattr(E, "inv_rep", lambda a: calls.append(a) or inv_rep(a))
     assert core.project(forty_points_q7, P).length == 40
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("center", [(1, 1, 1, 1), (1, 2, 0, 1), (0, 0, 1, 1)])
@@ -240,9 +257,8 @@ def test_random_projection_names_the_first_collision(P3F3, center):
     # a rational center: many images coincide, and its own image is zero
     ring = ScalarRing(P3F3.field)
     P = core.GeneralPoint("random", ring, [ring.const(c) for c in center], m=1)
-    order = sorted(P3F3.points, key=lambda p: not p.coords[3].is_zero())
-    i, j = _pairwise_first_collision([(core._image_coords(ring, P, p), None) for p in order])
-    with pytest.raises(core.CollisionDetected, match=f"images {i} and {j} coincide"):
+    assert _pairwise_first_collision([(core._image_coords(ring, P, p), None) for p in P3F3.points])
+    with pytest.raises(core.CollisionDetected, match=NOT_GENERAL):
         core.project(P3F3, P)
 
 
@@ -414,26 +430,27 @@ def test_unexpected_cones_of_full_spaces_need_no_elimination(monkeypatch, P3F2, 
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran on the sandwich path")
 
-    # the hashed collision test runs only at the finite seeded center
-    rings, first_collision = [], core._first_collision
-    monkeypatch.setattr(core, "_first_collision",
-                        lambda ring, images: rings.append(ring) or first_collision(ring, images))
+    # the center test runs only at the finite seeded center: once as it
+    # is sampled and once as the set is projected from it
+    fields, on_rational_line = [], core._on_rational_line
+    monkeypatch.setattr(core, "_on_rational_line",
+                        lambda F, E, coords: fields.append((F, E)) or on_rational_line(F, E, coords))
     monkeypatch.setattr(multipoly, "_bareiss_echelon", must_not_run)
     monkeypatch.setattr(multipoly, "proportional", must_not_run)
     monkeypatch.setattr(math, "prod", must_not_run)
     for Z, d, expected in ((P3F2, 3, (1, 0, True)), (P3F2, 4, (3, 0, True)),
                            (P3F2, 5, (7, 6, True)), (P3F3, 4, (1, 0, True))):
         assert core.unexpected_cone_dim(Z, d, core.GeneralPoint.generic(Z.field)) == expected
-    assert len(rings) == 4 and all(ring.finite for ring in rings)
+    assert len(fields) == 8 and all(E.base == F for F, E in fields)
 
 
 def test_generic_check_keeps_the_line_product_factored(monkeypatch, P3F3):
     import math
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("expanded the product or searched for collisions")
+        raise AssertionError("expanded the product or tested a finite center")
 
-    monkeypatch.setattr(core, "_first_collision", must_not_run)
+    monkeypatch.setattr(core, "_on_rational_line", must_not_run)
     monkeypatch.setattr(multipoly, "proportional", must_not_run)
     monkeypatch.setattr(math, "prod", must_not_run)
     v = core.geproci_check(P3F3, 4, 10, mode="generic")

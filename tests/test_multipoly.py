@@ -8,7 +8,7 @@ import random
 import pytest
 import sympy
 
-from geproci import core
+from geproci import core, fatpoints
 from geproci.fields import FieldElement, MultiPoly, PrimeField, extend_field, parse_field_spec
 from geproci.multipoly import (
     CommonFactor,
@@ -19,6 +19,7 @@ from geproci.multipoly import (
     ScalarRing,
     ZeroInput,
     condition_matrix,
+    condition_rank,
     coprime_certificate,
     derivative_row,
     directional_derivative,
@@ -95,6 +96,27 @@ def test_hilbert_value_full_space(F2, P3F2):
     assert hilbert_value(P3F2, 2) == 0
     assert hilbert_value(P3F2, 3) == 6
     assert hilbert_value(P3F2, 4) == 20
+
+
+def test_finite_condition_rank_builds_no_kernel(monkeypatch, P3F2, forty_points_q7):
+    # over a finite field the rank is the pivot count of one elimination:
+    # the kernel bases agree with the pinned values, and then no form may
+    # be built from a kernel vector
+    cases = [(P3F2, 3), (P3F2, 5), (fatpoints.example_cuspidal_nine(P3F2.field), 3),
+             (forty_points_q7, 4)]
+    mats = [condition_matrix(ScalarRing(Z.field), Z.as_projection_entries(), d, 4) for Z, d in cases]
+    P = core.GeneralPoint.random(forty_points_q7.field, seed=0)
+    mats.append(core.project(forty_points_q7, P).condition_rows(5))
+    ranks, values = [14, 15, 9, 30, 20], [6, 41, 11, 5]
+    assert [kernel_of_conditions(mat).rank for mat in mats] == ranks
+    assert [kernel_of_conditions(mat).dimension for mat in mats[:4]] == values
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built a kernel form")
+
+    monkeypatch.setattr(HomogeneousForm, "from_coeff_vector", must_not_run)
+    assert [condition_rank(mat) for mat in mats] == ranks
+    assert [hilbert_value(Z, d) for Z, d in cases] == values
 
 
 # ---------------------------------------------------------------------------
