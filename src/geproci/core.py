@@ -370,12 +370,12 @@ def _corank_bounds(Z, S: ProjectedScheme, d: int) -> tuple:
     if upper == 0:
         return 0, 0
     hints = _structural_hints(Z, S, range(1, d + 1))
-    if sum(math.comb(d - h.degree + 2, 2) for h, _ in hints) < upper:
+    if sum(math.comb(d - h.degree + 2, 2) for h in hints) < upper:
         return 0, upper
     col = {e: i for i, e in enumerate(monos)}
     members = []
-    for h, factors in hints:
-        if not _vanishes_on(factors, S):
+    for h in hints:
+        if not _vanishes_on(h, S):
             continue
         terms = specialize_coefficients(h, R.ring, R.coords[:3]).coeffs.items()
         for m in monomials(3, d - h.degree):
@@ -415,7 +415,9 @@ class GeprociCertificate:
         """Self-contained re-verification against the projected scheme."""
         if self.alpha * self.beta != S.length:
             return False
-        if not (_vanishes_on([self.f], S) and _vanishes_on([self.g], S)):
+        # each form whole (a one-factor product), not factor by factor as
+        # the hints were tested
+        if not all(_vanishes_on(ProductForm([h]), S) for h in (self.f, self.g)):
             return False
         return isinstance(coprime_certificate(self.f, self.g), CoprimalityWitness)
 
@@ -435,19 +437,21 @@ class GeprociCertificate:
         }
 
 
-def _vanishes_on(factors: list, S: ProjectedScheme) -> bool:
-    """Whether the product of `factors` vanishes on the projected scheme.
+def _vanishes_on(f: HomogeneousForm, S: ProjectedScheme) -> bool:
+    """Whether the form f vanishes on the projected scheme; a ProductForm
+    is tested factor by factor.
 
-    The scalars form a domain, so the product vanishes at a point iff a
+    The scalars form a domain, so a product vanishes at a point iff a
     factor does; by the product rule its D_v at a doubled point vanishes
     iff two factors vanish there or the one that does has D_v = 0."""
+    factors = f.factors if isinstance(f, ProductForm) else [f]
     for coords, direction in S.entries:
-        zeros = (f for f in factors if scalar_is_zero(evaluate(f, coords)))
-        f = next(zeros, None)
-        if f is None:
+        zeros = (h for h in factors if scalar_is_zero(evaluate(h, coords)))
+        h = next(zeros, None)
+        if h is None:
             return False
         if direction is not None and next(zeros, None) is None:
-            if not scalar_is_zero(directional_derivative(f, coords, direction)):
+            if not scalar_is_zero(directional_derivative(h, coords, direction)):
                 return False
     return True
 
@@ -459,8 +463,8 @@ def certify_complete_intersection(
 
     A certificate is a pair of coprime curves of degrees a <= b through the
     scheme; its length ab is all Bézout allows, so the pair cuts out
-    exactly the scheme.  Coprime pairs of vanishing structural hints, each
-    a (form, factors) pair tested factor by factor, are tried first, with
+    exactly the scheme.  Coprime pairs of vanishing structural hints, a
+    ProductForm tested factor by factor, are tried first, with
     no kernel.  Otherwise the Hilbert function decides
     (Eisenbud–Green–Harris, Cayley–Bacharach theorems and conjectures,
     Bull. AMS 33 (1996)).  Let the scheme be cut out by (f0, g0) and let
@@ -476,7 +480,7 @@ def certify_complete_intersection(
     if S.length != alpha * beta:
         raise LengthMismatch(f"scheme length {S.length} != {alpha}*{beta}")
     a, b = sorted((alpha, beta))
-    hints = [h for h, factors in hints or [] if h.degree in (a, b) and _vanishes_on(factors, S)]
+    hints = [h for h in hints or [] if h.degree in (a, b) and _vanishes_on(h, S)]
     hints_a = [h for h in hints if h.degree == a]
     hints_b = [h for h in hints if h.degree == b]
 
@@ -524,8 +528,8 @@ def certify_complete_intersection(
 # structural candidate curves
 
 def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
-    """(product, lines): the degree-d product of projected lines from a
-    d-class collinear cover, with its line factors."""
+    """The degree-d product of projected lines from a d-class collinear
+    cover, kept factored."""
     if not isinstance(Z, PointSet):
         return []
     part = _collinear_partition(Z, degree)
@@ -544,7 +548,7 @@ def line_product_candidates(Z, S: ProjectedScheme, degree: int) -> list:
             (0, 0, 1): a[0] * b[1] - a[1] * b[0],
         }
         lines.append(HomogeneousForm(ring, 3, 1, lin))
-    return [(ProductForm(lines), lines)]
+    return [ProductForm(lines)]
 
 
 def _collinear_partition(Z: PointSet, parts: int):
@@ -599,11 +603,10 @@ class GeprociVerdict:
 
 
 def _structural_hints(Z, S: ProjectedScheme, degrees) -> list:
-    """(form, factors) pairs of the given degrees; the cone curve is its
-    own only factor."""
+    """The cone curve and line products of the given degrees."""
     hints = []
     for degree in sorted(set(degrees)):
-        hints.extend((f, [f]) for f in frobenius_curve_candidate(Z, S, degree, Z.field))
+        hints.extend(frobenius_curve_candidate(Z, S, degree, Z.field))
         hints.extend(line_product_candidates(Z, S, degree))
     return hints
 
@@ -761,9 +764,8 @@ def residual_check(Z: PointSet, Zp: PointSet, alpha: int, gamma: int, beta: int)
     # works for both; structural candidates are tried before interpolation
     hints = _structural_hints(Z, S, (beta,))
     Sp = project(Zp, P)
-    candidates = [(h, factors) for h, factors in hints if _vanishes_on(factors, S)]
-    candidates += [(f, [f]) for f in interpolate_curve(S, beta).forms]
-    shared = next((h for h, factors in candidates if _vanishes_on(factors, Sp)), None)
+    candidates = [h for h in hints if _vanishes_on(h, S)] + interpolate_curve(S, beta).forms
+    shared = next((h for h in candidates if _vanishes_on(h, Sp)), None)
     if shared is None:
         raise SharedGeneratorMissing(f"no degree-{beta} curve through both projections")
     Zpp = Z.minus(Zp)

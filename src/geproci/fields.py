@@ -29,11 +29,9 @@ over a tower base on coefficient lists of base reps.
 
 `row_reduce`, the one finite-field row reduction, inserts the rows in
 order into the RREF basis of the rows before them, one inversion per
-pivot; a square invertible matrix's determinant is the product of the
-leads times the sign of the row-to-pivot permutation.  It works on the
-packed ints directly: each update adds a canonical multiplier times a
-canonical basis entry to a canonical cell, so one Barrett step keeps every
-slot in bound (see `_Packing`).
+pivot.  It works on the packed ints directly: each update adds a
+canonical multiplier times a canonical basis entry to a canonical cell,
+so one Barrett step keeps every slot in bound (see `_Packing`).
 
 :class:`MultiPoly` is a sparse polynomial over such a field.  Generic-point
 mode works in F_q[a,b,c] with these polynomials as its scalars: projected
@@ -75,7 +73,8 @@ class WrongCharacteristic(FieldError):
 
 # ---------------------------------------------------------------------------
 # univariate polynomial helpers over a field (lists of reps, low-to-high):
-# Rabin's test over a tower base, and the powers of a layer's generator
+# Rabin's test, the powers of a layer's generator, and coprimality on the
+# lines of a pencil (multipoly.coprime_certificate)
 
 def _pnorm(f):
     while f and not f[-1]:  # every field's zero rep is 0
@@ -113,42 +112,31 @@ def _pmul(F, f, g):
     return _pnorm(out)
 
 
-def _pdivmod(F, f, g):
+def _pmod(F, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     inv_lead = F.inv_rep(g[-1])
-    q = [F.zero_rep] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g):
         c = F.mul_rep(f[-1], inv_lead)
         k = len(f) - len(g)
-        q[k] = c
         for i, b in enumerate(g):
             f[k + i] = F.sub_rep(f[k + i], F.mul_rep(c, b))
         _pnorm(f)
-        if not f:
-            break
-    return _pnorm(q), f
-
-
-def _pmod(F, f, g):
-    return _pdivmod(F, f, g)[1]
+    return f
 
 
 def _pgcd(F, f, g):
-    f, g = list(f), list(g)
+    """A gcd of f and g, up to a unit; it is constant iff they are coprime."""
     while g:
         f, g = g, _pmod(F, f, g)
-    if f:  # make monic
-        inv = F.inv_rep(f[-1])
-        f = [F.mul_rep(c, inv) for c in f]
     return f
 
 
 def _ppowmod(F, f, e, m):
     """f**e mod m by square-and-multiply; e may be a large int."""
     result = [F.one_rep]
-    f = _pmod(F, list(f), m)
+    f = _pmod(F, f, m)
     while e:
         if e & 1:
             result = _pmod(F, _pmul(F, result, f), m)
@@ -499,7 +487,7 @@ class FieldTower(_Field):
             for _ in range(n + 1):
                 powers.append(digits(x))
                 x = _pmod(B, _pmul(B, x, theta), g)
-            pivots, rows, _ = row_reduce(Fp, [t + e for t, e in zip(powers, identity)])
+            pivots, rows = row_reduce(Fp, [t + e for t, e in zip(powers, identity)])
             if pivots == list(range(n)):
                 break
         else:  # a field has one: fewer than |B| of the y + b lie in proper subfields
@@ -790,20 +778,16 @@ class FieldElement:
 def row_reduce(F, rows):
     """Reduced row echelon form of a matrix of reps over the finite field F.
 
-    Returns (pivots, reduced, det): the pivot columns, the nonzero rows of
-    the RREF as lists of reps, and the determinant, which is the zero rep
-    unless the matrix is square and invertible.  Raises FieldError on rows
-    of unequal length.
+    Returns (pivots, reduced): the pivot columns and the nonzero rows of
+    the RREF as lists of reps.  Raises FieldError on rows of unequal
+    length.
 
     The rows are inserted in order into the RREF basis of the rows before
     them.  A row is reduced against every basis row, which touches only
     the columns that are not yet pivots; a nonzero remainder is divided by
     its lead, its pivot column is cleared from the earlier basis rows, and
     it joins the basis.  Rows beyond the rank of a tall matrix thus meet a
-    basis with few free entries.  Each remainder is its row minus a
-    combination of the rows before it, and it is zero at the earlier pivot
-    columns, so for a square invertible matrix det is the product of the
-    leads times the sign of the row-to-pivot-column permutation.
+    basis with few free entries.
 
     An update adds f * y, folded, to a cell, where f is the negated
     multiplier and y an entry of a normalized basis row, and reduces the
@@ -818,7 +802,7 @@ def row_reduce(F, rows):
     K = F.packed
     mul, neg, folds = K.mul, K.neg, K.folds
     low, nS, tail, m, k, qmask, p = K.low, K.nS, K.tail, K.m, K.k, K.qmask, K.p
-    basis, leads, free = [], [], list(range(ncols))
+    basis, free = [], list(range(ncols))
     for row in rows:
         r = list(row)
         for c, b in basis:
@@ -837,7 +821,6 @@ def row_reduce(F, rows):
         c = next((j for j in free if r[j]), None)
         if c is None:
             continue
-        leads.append(r[c])
         inv = F.inv_rep(r[c])
         free.remove(c)
         nz = [(j, mul(r[j], inv)) for j in free if j > c and r[j]]
@@ -858,16 +841,8 @@ def row_reduce(F, rows):
         for j, y in nz:
             r[j] = y
         basis.append((c, r))
-    det = F.zero_rep
-    if len(rows) == ncols == len(leads):
-        det = F.one_rep
-        for v in leads:
-            det = F.mul_rep(det, v)
-        order = [c for c, _ in basis]
-        if sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1:
-            det = F.neg_rep(det)
     basis.sort()  # by pivot column; no two are equal
-    return [c for c, _ in basis], [b for _, b in basis], det
+    return [c for c, _ in basis], [b for _, b in basis]
 
 
 # ---------------------------------------------------------------------------

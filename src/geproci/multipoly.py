@@ -12,13 +12,12 @@ expands each power (A_i·u + B_i·s)^e by the binomial theorem, dropping the
 binomials that vanish mod p, and adds each of the form's scalars into one
 sum per coefficient of the binary result, all on field reps.
 :func:`coprime_certificate` restricts both curves to the lines of a
-pencil with it and takes the resultant of each pair of restrictions.
+pencil with it and takes the Euclidean gcd of each pair of restrictions.
 A :class:`ProductForm` is evaluated, restricted and specialized factor by
 factor.
 :func:`condition_matrix` builds the condition matrix of
 (point, direction-or-None) entries: a point imposes its value, and a
-direction the derivative along it.  Finite-field matrices, condition
-matrices and Sylvester matrices alike, go through
+direction the derivative along it.  Finite-field matrices go through
 :func:`geproci.fields.row_reduce`.  Condition matrices over F_q[a,b,c] go
 through fraction-free (Bareiss) forward elimination, and their kernel
 vectors come from an exact Cramer back-substitution, so every entry is a
@@ -40,6 +39,7 @@ from .fields import (
     FieldTower,
     MultiPoly,
     PrimeField,
+    _pgcd,
     extend_field,
     row_reduce,
 )
@@ -572,7 +572,7 @@ class KernelBasis:
 
 def _finite_kernel(mat: EvaluationMatrix):
     F = mat.ring.field
-    pivots, rows, _ = row_reduce(F, [[c.rep for c in row] for row in mat.rows])
+    pivots, rows = row_reduce(F, [[c.rep for c in row] for row in mat.rows])
     ncols = mat.ncols
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in set(pivots)]
@@ -685,7 +685,7 @@ def condition_rank(mat: EvaluationMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coprimality via resultants
+# coprimality on a pencil of lines
 
 @dataclass
 class CoprimalityWitness:
@@ -701,29 +701,14 @@ class CommonFactor:
     note: str = ""
 
 
-def _univariate_resultant(a: list, b: list, ring: ScalarRing):
-    """Resultant of two univariate polys over a finite field (coefficient
-    lists, low-to-high): the determinant of their Sylvester matrix."""
-    n, m = len(a) - 1, len(b) - 1
-    if n < 0 or m < 0:
-        return ring.zero()
-    size = n + m
-    zero = ring.zero()
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    # a pencil center or test line may lie in an extension of ring.field
+def _coprime_on_line(a: list, b: list) -> bool:
+    """Whether two univariate polys over finite fields (coefficient lists,
+    low to high, top coefficients nonzero) have a constant gcd, taken in
+    the larger field; with nonzero tops, exactly when their resultant is
+    nonzero."""
+    # a pencil center or test line may lie in an extension of the forms' field
     E = _common_field(c.field for c in a + b)
-    reps = [[_reps_in(E, c) for c in row] for row in rows]
-    return FieldElement(E, row_reduce(E, reps)[2])
+    return len(_pgcd(E, [_reps_in(E, c) for c in a], [_reps_in(E, c) for c in b])) == 1
 
 
 def specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
@@ -738,10 +723,10 @@ def specialize_coefficients(form: HomogeneousForm, ring: ScalarRing, values):
 
 def _coprime_by_specialization(f: HomogeneousForm, g: HomogeneousForm):
     """Generic-mode path: specialize (a,b,c,...) into a large
-    extension.  A nonzero specialized resultant certifies generic
+    extension.  A coprime specialized pair certifies generic
     coprimality exactly (degrees cannot drop once a shear has produced
     constant leading coefficients, and those survive specialization);
-    a genuine common factor makes every specialization vanish.
+    a genuine common factor is shared by every specialization.
     """
     base = f.ring.field
     m = 1
@@ -774,14 +759,15 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
 
     Coprime curves of degrees a and b meet in at most D = ab points, so
     among D + 1 lines through a center O off both curves one misses all of
-    them, and there the resultant of the two restrictions is nonzero.  A
-    common component meets every line, so every such resultant vanishes;
-    either outcome is exact.  The centers are tried in a fixed order: O is
-    1 at an elimination variable and (t1, t2), the shear, at the others;
-    the test lines join O to (0, 1, t) for D + 1 scalars t.  Over
-    F_q[a,b,c] the resultant is decided through deterministic
-    specializations: a nonzero value is an exact certificate, and three
-    vanishing specializations are reported as a common factor.
+    them, and there the two restrictions are coprime: their Euclidean gcd
+    is a constant.  A common component meets every line, so on every such
+    line the gcd has positive degree; either outcome is exact.  The
+    centers are tried in a fixed order: O is 1 at an elimination variable
+    and (t1, t2), the shear, at the others; the test lines join O to
+    (0, 1, t) for D + 1 scalars t.  Over F_q[a,b,c] coprimality is decided
+    through deterministic specializations: a coprime one is an exact
+    certificate, and three that share a factor are reported as a common
+    factor.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroInput("coprimality of a zero form is undefined")
@@ -795,7 +781,7 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
     # single common extension
     pool = ring.distinct_scalars(max(3, D + 1))
     # any D + 1 lines of the pencil decide, so their order changes only how
-    # many determinants are taken; the first scalars of the pool often give
+    # many gcds are taken; the first scalars of the pool often give
     # lines through a point of Z, so the test lines are tried from the top
     test_points = pool[D::-1]
     candidates = [(var, None) for var in range(3)]
@@ -826,14 +812,15 @@ def coprime_certificate(f: HomogeneousForm, g: HomogeneousForm):
             continue
         # on the line through B = (0 at var, 1, t) and O, f(B + s·O) is read
         # low to high in s; its top coefficient f(O) is nonzero, so no
-        # degree drops and the determinant is the line's resultant
+        # degree drops and the gcd is constant iff the line's resultant is
+        # nonzero
         B = [None] * 3
         B[var], B[o1] = zero, one
         for t in test_points:
             B[o2] = t
             a = restrict_to_line(f, B, O).coeff_vector()
             b = restrict_to_line(g, B, O).coeff_vector()
-            if not scalar_is_zero(_univariate_resultant(a, b, ring)):
+            if _coprime_on_line(a, b):
                 shear_desc = None
                 if shear is not None:
                     shear_desc = (names[var], _scalar_str(t1), _scalar_str(t2))

@@ -85,7 +85,7 @@ class ProjectiveLine3:
         rep_rows = []
         for row in rows:
             rep_rows.append([field.element(c).rep for c in row])
-        _, reduced, _ = row_reduce(field, rep_rows)
+        _, reduced = row_reduce(field, rep_rows)
         if len(reduced) != 2:
             raise GeometryError("line requires a rank-2 spanning set")
         self._set_rows(field, reduced)

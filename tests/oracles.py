@@ -9,11 +9,11 @@ collinear classes with a row reduction each, as the library once did.
 `spread_search_reference` walks the skew graph child by child in index
 order, as `spreads.search_maximal_partial_spreads` did before it counted
 dead tails in bulk.
-`gauss_jordan` reduces a matrix column by column, as `fields.row_reduce`
-once did.  The `poly_*` functions act on `MultiPoly.terms` dicts (packed
-monomial key -> nonzero rep) through F's own `mul_rep`, `add_rep`,
-`sub_rep` and `rep_is_zero`, one call per term product, as `MultiPoly`
-once did over every field.  `tower_oracle` builds the layers of a spec
+`gauss_jordan` gives the pivot columns and RREF rows of a matrix, column
+by column, as `fields.row_reduce` once did.  The `poly_*` functions act
+on `MultiPoly.terms` dicts (packed monomial key -> nonzero rep) through
+F's own `mul_rep`, `add_rep`, `sub_rep` and `rep_is_zero`, one call per
+term product, as `MultiPoly` once did over every field.  `tower_oracle` builds the layers of a spec
 `p=p;ext=d1;ext=d2;...` as tuples of lower-layer reps, with the index
 order and moduli that spec strings name, as `fields` once did."""
 import functools
@@ -96,22 +96,18 @@ def spread_search_reference(skew, sizes=None, mode="exhaustive", node_budget=10 
 
 
 def gauss_jordan(F, rows):
-    """(pivots, RREF rows, det) of a matrix of reps over the finite field F,
-    by Gauss-Jordan through F's own add/mul/inv.  Each pivot is the first
-    nonzero entry of its column at or below the current row; det is the
-    product of the pivots times the sign of the row swaps when the matrix
-    is square and invertible, and the zero rep otherwise."""
+    """(pivots, RREF rows) of a matrix of reps over the finite field F, by
+    Gauss-Jordan through F's own add/mul/inv.  Each pivot is the first
+    nonzero entry of its column at or below the current row."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    pivots, det, r = [], F.one_rep, 0
+    pivots, r = [], 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if not F.rep_is_zero(rows[i][c])), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = F.neg_rep(det)
-        det = F.mul_rep(det, rows[r][c])
         inv = F.inv_rep(rows[r][c])
         rows[r] = [F.mul_rep(x, inv) for x in rows[r]]
         for i in range(len(rows)):
@@ -120,9 +116,7 @@ def gauss_jordan(F, rows):
                 rows[i] = [F.sub_rep(x, F.mul_rep(f, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    if not len(rows) == ncols == r:
-        det = F.zero_rep
-    return pivots, rows[:r], det
+    return pivots, rows[:r]
 
 
 def poly_add(F, a: dict, b: dict) -> dict:

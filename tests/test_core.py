@@ -582,17 +582,17 @@ _GENERIC_CHECKS = {
 @pytest.mark.parametrize("name", list(_GENERIC_CHECKS))
 def test_resultant_test_points_from_the_top_of_the_pool(monkeypatch, request, name):
     # the first scalars of the pool are roots of the sheared resultant on
-    # these sets; from the top, the first test point decides, and the
+    # these sets; from the top, the first test line decides, and the
     # witness (elimination variable and shear) is the one of index order
     check, t2 = _GENERIC_CHECKS[name]
     calls = []
-    resultant = multipoly._univariate_resultant
+    coprime_on_line = multipoly._coprime_on_line
 
     def counting(*args):
         calls.append(args)
-        return resultant(*args)
+        return coprime_on_line(*args)
 
-    monkeypatch.setattr(multipoly, "_univariate_resultant", counting)
+    monkeypatch.setattr(multipoly, "_coprime_on_line", counting)
     v = check(request.getfixturevalue)
     assert v.geproci
     witness = v.certificate.coprimality
@@ -652,6 +652,23 @@ def test_residual_subset_required(F2, P3F2, F3):
     other = PointSet(F3, list(Z3.points)[:3], 3)
     with pytest.raises(core.CoreError):
         core.residual_check(P3F2, other, 5, 1, 3)
+
+
+def test_residual_degenerate_and_without_a_shared_generator(P3F2):
+    res = core.residual_check(P3F2, P3F2, 5, 5, 3)
+    assert res.degenerate_case and res.verdict is None and res.shared_generator is None
+    # no plane contains the projection of all of PG(3,2)
+    Zp = PointSet(P3F2.field, list(P3F2.points)[:3], 3)
+    with pytest.raises(core.SharedGeneratorMissing):
+        core.residual_check(P3F2, Zp, 15, 3, 1)
+
+
+def test_unknown_mode_and_length_mismatch_raise(P3F2):
+    with pytest.raises(core.CoreError, match="unknown mode"):
+        core.geproci_check(P3F2, 3, 5, mode="bogus")
+    S = core.project(P3F2, core.GeneralPoint.generic(P3F2.field))
+    with pytest.raises(core.LengthMismatch):
+        core.certify_complete_intersection(S, 2, 5)
 
 
 def test_skew_line_cover(mps7_q3):
@@ -723,7 +740,7 @@ def test_vanishes_on_factors_matches_the_expanded_product(F3, names):
             continue
         S = core.ProjectedScheme(ring, [(coords, direction)], None)
         expected = _product_vanishes(prod, coords, direction)
-        assert core._vanishes_on(factors, S) == expected
+        assert core._vanishes_on(multipoly.ProductForm(factors), S) == expected
         zeros = sum(scalar_is_zero(evaluate(f, coords)) for f in factors)
         seen.add((min(zeros, 2), direction is not None, expected))
     # every branch of the factor rule was taken
@@ -733,14 +750,15 @@ def test_vanishes_on_factors_matches_the_expanded_product(F3, names):
 
 def test_vanishes_on_factors_refutes_an_extra_image_point(P3F2):
     S = core.project(P3F2, core.GeneralPoint.generic(P3F2.field))
-    [(prod, lines)] = core.line_product_candidates(P3F2, S, 5)
-    assert len(lines) == 5 and core._vanishes_on(lines, S)
+    [prod] = core.line_product_candidates(P3F2, S, 5)
+    lines = prod.factors
+    assert len(lines) == 5 and core._vanishes_on(prod, S)
     a, b, _ = S.ring.gens()
     extra = [S.ring.one(), a, b]
     assert not any(scalar_is_zero(evaluate(l, extra)) for l in lines)
     S.entries.append((extra, None))
-    assert not core._vanishes_on(lines, S)
-    assert not core._vanishes_on([prod], S)
+    assert not core._vanishes_on(prod, S)
+    assert not core._vanishes_on(multipoly.ProductForm([prod]), S)  # whole, as recheck
 
 
 def test_hints_are_tested_line_by_line(monkeypatch, P3F3):

@@ -21,7 +21,7 @@ from geproci.fields import (
     row_reduce,
     smallest_irreducible,
 )
-from geproci.multipoly import ScalarRing, _univariate_resultant
+from geproci.multipoly import ScalarRing, _coprime_on_line
 import oracles
 from oracles import gauss_jordan
 
@@ -402,42 +402,31 @@ def test_row_reduce_worst_case_slots(spec):
     got = row_reduce(E, rows)
     assert got == gauss_jordan(E, rows) and got[0] == [0]
     # a cell that takes min(rows, cols) - 1 folded products m * m on top of m
-    # with no reduction in between: rows e_i | m over rows -m ... -m | m
+    # with no reduction in between: rows e_i | m | 0 over rows -m ... -m | m | 1,
+    # whose last pivot m + k m^2 leaves its inverse in the last column
     k = 39
-    neg = E.neg_rep(m)
-    rows = [[E.one_rep if j == i else E.zero_rep for j in range(k)] + [m] for i in range(k)]
-    rows.append([neg] * k + [m])
+    z, neg = E.zero_rep, E.neg_rep(m)
+    rows = [[E.one_rep if j == i else z for j in range(k)] + [m, z] for i in range(k)]
+    rows.append([neg] * k + [m, E.one_rep])
     got = row_reduce(E, rows)
     assert got == gauss_jordan(E, rows)
     want = E.add_rep(m, E.mul_rep(E.index_to_rep(k % E.char), E.mul_rep(m, m)))
-    assert got[2] == want  # det: the last pivot, m + k m^2
+    assert got[1][-1][-1] == E.inv_rep(want)  # 1 / (m + k m^2)
 
 
 @pytest.mark.parametrize("spec", ["p=7", "p=3;ext=2", "p=7;ext=12", "p=2;ext=31"])
 def test_row_reduce_edge_inputs(spec):
     E = parse_field_spec(spec)
     z, one = E.zero_rep, E.one_rep
-    assert row_reduce(E, []) == ([], [], one)  # det of the empty matrix
-    assert row_reduce(E, [[z, z, z], [z, z, z]]) == ([], [], z)
+    assert row_reduce(E, []) == ([], [])
+    assert row_reduce(E, [[z, z, z], [z, z, z]]) == ([], [])
     x = E.from_index(E.size - 2).rep
     single = row_reduce(E, [[z, x, x]])
-    assert single == ([1], [[z, one, one]], z)
+    assert single == ([1], [[z, one, one]])
     assert single == gauss_jordan(E, [[z, x, x]])
     dup = [[one, x], [one, x]]
-    assert row_reduce(E, dup) == ([0], [[one, x]], z)
-    assert row_reduce(E, [[z, one], [one, z]]) == ([0, 1], [[one, z], [z, one]], E.neg_rep(one))
-
-
-def _cofactor_det(E, rows):
-    """Determinant of a square rep matrix by cofactor expansion on row 0."""
-    if not rows:
-        return E.one_rep
-    det = E.zero_rep
-    for j, a in enumerate(rows[0]):
-        minor = _cofactor_det(E, [r[:j] + r[j + 1:] for r in rows[1:]])
-        term = E.mul_rep(a, minor)
-        det = E.sub_rep(det, term) if j & 1 else E.add_rep(det, term)
-    return det
+    assert row_reduce(E, dup) == ([0], [[one, x]])
+    assert row_reduce(E, [[z, one], [one, z]]) == ([0, 1], [[one, z], [z, one]])
 
 
 def _gauss_jordan_cases(E, rng):
@@ -468,10 +457,7 @@ def test_row_reduce_matches_gauss_jordan(spec):
     E = parse_field_spec(spec)
     rng = random.Random(spec)
     for rows in _gauss_jordan_cases(E, rng):
-        got = row_reduce(E, rows)
-        assert got == gauss_jordan(E, rows)
-        if len(rows) == len(rows[0]) <= 4:
-            assert got[2] == _cofactor_det(E, rows)
+        assert row_reduce(E, rows) == gauss_jordan(E, rows)
 
 
 @pytest.mark.parametrize("spec", ["p=7", "p=7;ext=12"])
@@ -501,10 +487,18 @@ def _reference_det(rows):
     return det
 
 
+def _sylvester(a, b):
+    """The Sylvester matrix of two coefficient lists, low to high."""
+    da, db = len(a) - 1, len(b) - 1
+    zero = a[-1].field.zero()
+    rows = [[zero] * i + a[::-1] + [zero] * (db - i - 1) for i in range(db)]
+    return rows + [[zero] * i + b[::-1] + [zero] * (da - i - 1) for i in range(da)]
+
+
 @pytest.mark.parametrize("spec", ["p=7", "p=2;ext=2;ext=2", "p=7;ext=12", "p=3;ext=20"])
 def test_resultant_is_the_sylvester_determinant(spec):
+    # the per-line gcd test decides coprimality as the Sylvester determinant does
     E = parse_field_spec(spec)
-    ring = ScalarRing(E)
     rng = random.Random(11)
 
     def poly(deg):
@@ -513,32 +507,31 @@ def test_resultant_is_the_sylvester_determinant(spec):
 
     for da, db in ((1, 1), (2, 3), (5, 8), (4, 4)):
         a, b = poly(da), poly(db)
-        size = da + db
-        sylvester = []
-        for i in range(db):
-            sylvester.append([E.zero()] * i + a[::-1] + [E.zero()] * (size - i - da - 1))
-        for i in range(da):
-            sylvester.append([E.zero()] * i + b[::-1] + [E.zero()] * (size - i - db - 1))
-        assert _univariate_resultant(a, b, ring) == _reference_det(sylvester)
+        assert _coprime_on_line(a, b) == (not _reference_det(_sylvester(a, b)).is_zero())
     # a common root makes the resultant vanish
     r = E.from_index(5)
     a = [E.zero() - r, E.one()]
     b = [E.zero() - r * r, E.zero(), E.one()]
-    assert _univariate_resultant(a, b, ring).is_zero()
+    assert _reference_det(_sylvester(a, b)).is_zero()
+    assert not _coprime_on_line(a, b)
 
 
 def test_resultant_with_coefficients_in_an_extension():
     F = parse_field_spec("p=2")
     E = extend_field(F, 5)
-    ring = ScalarRing(F)
     t = E.from_index(9)
     a = [F.one(), t, F.one()]  # mixed fields, as after a shear from distinct_scalars
     b = [t * t, F.one()]
     lifted = [E.element(c) for c in a], [E.element(c) for c in b]
-    assert _univariate_resultant(a, b, ring) == _univariate_resultant(*lifted, ScalarRing(E))
-    # Res(a, x - s) = a(s) for monic linear b
+    assert _coprime_on_line(a, b) == _coprime_on_line(*lifted)
+    assert _coprime_on_line(a, b) == (not _reference_det(_sylvester(*lifted)).is_zero())
+    # Res(a, x - s) = a(s) for monic linear b: coprime iff a(s) != 0
     s = t * t
-    assert _univariate_resultant(a, [s, F.one()], ring) == a[0] + a[1] * s + a[2] * s * s
+    assert _coprime_on_line(a, [s, F.one()]) == (not (a[0] + a[1] * s + a[2] * s * s).is_zero())
+    # (x + t)(x + s) over F_2 with its top coefficient in F_2, and x + t
+    c = [t * s, t + s, F.one()]
+    assert _reference_det(_sylvester([E.element(x) for x in c], [t, E.one()])).is_zero()
+    assert not _coprime_on_line(c, [t, F.one()])
 
 
 # ---------------------------------------------------------------------------
