@@ -44,24 +44,31 @@ class PartialSpread:
 
     Pairwise skewness is an intended invariant but is *verified*, not
     assumed: `verify_spread` reports violations rather than raising.
+    A spread the search found keeps only its rows of the field's line
+    table; `lines` builds its tuple from those rows on first read.
     """
 
-    __slots__ = ("field", "lines", "maximal", "_indices")
+    __slots__ = ("field", "_lines", "maximal", "_indices")
 
     def __init__(self, field, lines, maximal: Optional[bool] = None):
         self.field = field
-        self.lines = tuple(sorted(lines, key=ProjectiveLine3.key))
+        self._lines = tuple(sorted(lines, key=ProjectiveLine3.key))
         self.maximal = maximal
         self._indices = None
 
     @classmethod
-    def _presorted(cls, field, lines: tuple, indices=None):
-        """A maximal partial spread from a tuple of lines already in key
-        order, as the search emits them; nothing is sorted or checked.
-        `indices`, their rows in _line_table(field), spare spread_fingerprint a lookup."""
+    def _presorted(cls, field, indices):
+        """A maximal partial spread from ascending rows of _line_table(field),
+        as the search emits them; nothing is sorted, checked or built."""
         S = cls.__new__(cls)
-        S.field, S.lines, S.maximal, S._indices = field, lines, True, indices
+        S.field, S._lines, S.maximal, S._indices = field, None, True, indices
         return S
+
+    @property
+    def lines(self) -> tuple:
+        if self._lines is None:
+            self._lines = tuple(map(_line_table(self.field).lines.__getitem__, self._indices))
+        return self._lines
 
     @property
     def q(self):
@@ -224,12 +231,12 @@ class SearchResult:
 @dataclass(repr=False)
 class _PackedSpreads(Sequence):
     """A search's spreads, packed: spread k is the run idx[ends[k]:ends[k + 1]]
-    of ascending indices into the line table `lines`.  Each read of an item
-    builds a new PartialSpread, equal to the ones earlier reads built."""
+    of ascending rows of the field's line table.  Each read of an item
+    builds a new PartialSpread on its run, equal to the ones earlier reads
+    built; its lines are built only when read."""
     field: object
     idx: array
     ends: array
-    lines: list = dataclass_field(compare=False)
 
     def __len__(self):
         return len(self.ends) - 1
@@ -238,13 +245,10 @@ class _PackedSpreads(Sequence):
         if isinstance(k, slice):
             return [self[j] for j in range(*k.indices(len(self)))]
         k = range(len(self))[k]  # negative indices, and IndexError past the end
-        return self._build(self.idx[self.ends[k]:self.ends[k + 1]])
+        return PartialSpread._presorted(self.field, self.idx[self.ends[k]:self.ends[k + 1]])
 
     def __iter__(self):
-        return (self._build(self.idx[a:b]) for a, b in pairwise(self.ends))
-
-    def _build(self, run):
-        return PartialSpread._presorted(self.field, tuple(map(self.lines.__getitem__, run)), run)
+        return (PartialSpread._presorted(self.field, self.idx[a:b]) for a, b in pairwise(self.ends))
 
 
 def deficiency_window(q: int):
@@ -279,9 +283,8 @@ def search_maximal_partial_spreads(
     if mode == "sample" and seed is None:
         raise SpreadError("sample mode requires a seed")
     rng = random.Random(seed) if mode == "sample" else None
-    table = _line_table(field)
-    lines, skew = table.lines, table.skew
-    n = len(lines)
+    skew = _line_table(field).skew
+    n = len(skew)
     full = (1 << n) - 1
     # skew_gt[i]: the lines skew to line i with a larger index
     skew_gt = [m >> (i + 1) << (i + 1) for i, m in enumerate(skew)]
@@ -371,7 +374,7 @@ def search_maximal_partial_spreads(
         runs = sorted(idx[a:b] for a, b in pairwise(ends))
         idx = array(idx.typecode, chain.from_iterable(runs))
         ends = array("L", accumulate(map(len, runs), initial=0))
-    found = _PackedSpreads(field, idx, ends, lines)
+    found = _PackedSpreads(field, idx, ends)
     lo, hi = deficiency_window(field.size)
     spread_size = field.size ** 2 + 1
     odd = {k for k in range(spread_size) if not lo <= spread_size - k <= hi}
@@ -477,20 +480,58 @@ def _sorted_counts(histogram: tuple) -> tuple:
 
 def spread_fingerprint(S: PartialSpread):
     """Projective-equivalence invariant: sorted point-degree multiset and
-    sorted profile of how many spread members each line of PG(3,q) meets.
-    Members covering k(q+1) points are disjoint, hence distinct, and their
-    point degrees are read off the union of their point masks."""
+    sorted profile of how many other spread members each line of PG(3,q)
+    meets.  Members covering k(q+1) points are pairwise skew, hence
+    distinct.  Three skew lines have exactly q+1 common transversals
+    (Hirschfeld, Finite Projective Spaces of Three Dimensions, 1985), so
+    `_skew_fingerprint` counts only the lines meeting four or more of them
+    and derives the rest.  Other sets add the point and meet masks of their
+    members in byte lanes."""
     tab = _line_table(S.field)
     members = S._indices = S._indices or tuple(
         map(tab.index.__getitem__, map(ProjectiveLine3.key, S.lines)))
-    covered = reduce(or_, [tab.points[i] for i in members], 0).bit_count()
-    if covered == len(members) * (S.field.size + 1):
-        degrees = _sorted_counts((tab.npts - covered, covered))
-    else:
-        degrees = _sorted_lane_sums(members, tab.points, tab.point_lanes, tab.npts)
-        members = set(members)  # a repeated member counts once in the profile
-    profile = _sorted_lane_sums(members, tab.meet, tab.meet_lanes, len(tab.lines))
-    return (degrees, profile)
+    q = S.field.size
+    if reduce(or_, map(tab.points.__getitem__, members), 0).bit_count() == len(members) * (q + 1):
+        return _skew_fingerprint(members, tab, q)
+    degrees = _sorted_lane_sums(members, tab.points, tab.point_lanes, tab.npts)
+    members = set(members)  # a repeated member counts once in the profile
+    return (degrees, _sorted_lane_sums(members, tab.meet, tab.meet_lanes, len(tab.lines)))
+
+
+def _skew_fingerprint(members, tab, q):
+    """The fingerprint of k pairwise skew lines, with the profile counted
+    only for the lines meeting four or more of them.
+
+    With m the number of members a line meets and n_j the number of lines
+    with m = j, the sums sum_j C(j, r) n_j over all L lines are fixed for
+    r <= 3: L, k q(q+1)² (each member meets q(q+1)² other lines), C(k,2)
+    (q+1)² (q+1 lines through each point of one member meet another) and
+    C(k,3)(q+1) (three skew lines have q+1 common transversals).  So
+    n_4 .. n_top are counted off the members' meet lanes and n_3 .. n_0
+    follow.  A line meets at most top = min(k, q+1) members, so no byte
+    lane overflows."""
+    k = len(members)
+    top = min(k, q + 1)
+    high = ()
+    if top >= 4:
+        cells = sum(map(tab.meet_lanes.__getitem__, members)).to_bytes(len(tab.lines),
+                                                                        sys.byteorder)
+        high = tuple(map(cells.count, range(4, top + 1)))
+    return _fingerprint_from_transversals(tab.npts, len(tab.lines), q, k, high)
+
+
+@lru_cache(maxsize=None)
+def _fingerprint_from_transversals(npts: int, nlines: int, q: int, k: int,
+                                   high: tuple) -> tuple:
+    """`_skew_fingerprint` from the counts high = (n_4, .., n_top): the k(q+1)
+    covered points once each, and n_3 .. n_0 by back-substitution.  Shared
+    by every call with these arguments."""
+    n = [0, 0, 0, 0, *high]
+    sums = (nlines, k * q * (q + 1) ** 2, math.comb(k, 2) * (q + 1) ** 2,
+            math.comb(k, 3) * (q + 1))
+    for r in (3, 2, 1, 0):
+        n[r] = sums[r] - sum(math.comb(j, r) * n[j] for j in range(r + 1, len(n)))
+    return (_sorted_counts((npts - k * (q + 1), k * (q + 1))), _sorted_counts(tuple(n)))
 
 
 # ---------------------------------------------------------------------------

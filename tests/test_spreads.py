@@ -177,6 +177,20 @@ def test_search_builds_what_the_constructor_builds(F2):
         assert S.maximal is T.maximal is True and S.field is T.field
 
 
+def test_packed_spreads_build_their_lines_on_first_read(F3):
+    # a found spread holds its line-table rows; a fingerprint reads only those
+    res = search_maximal_partial_spreads(F3, sizes=[7], node_budget=20_000)
+    tab = spreads._line_table(F3)
+    assert len(res.spreads) > 100
+    for S in res.spreads:
+        spread_fingerprint(S)
+        assert S._lines is None
+        lines = S.lines
+        assert type(lines) is tuple and S.lines is lines
+        assert lines == tuple(tab.lines[i] for i in S._indices)
+        assert lines == PartialSpread(F3, lines[::-1]).lines
+
+
 SEARCHES = [("p=2", dict()),
             ("p=3", dict(sizes=[7], node_budget=1_000_000)),
             ("p=3", dict(sizes=[7], mode="sample", seed=3, node_budget=5000))]
@@ -432,27 +446,63 @@ def test_fingerprint_survives_a_file_roundtrip(F3):
 
 @pytest.mark.parametrize("spec", ["p=2", "p=3"])
 def test_fingerprint_paths_match_the_oracle(monkeypatch, spec):
-    # disjoint members take the one-mask path (one column sum, for the
-    # profile); a repeated member or a meeting pair takes the general path
+    # disjoint members take the transversal-count path (`_skew_fingerprint`);
+    # a repeated member or a meeting pair takes the general path (two
+    # column sums, points and profile)
     F = parse_field_spec(spec)
     lines = all_lines(F)
     regular = list(build_regular_spread(F).lines)
     L = regular[0]
     copy = line_through(*L.points()[:2])
     meeting = [M for M in lines if line_contains(M, L.points()[0])][:2]
-    cases = [([], 1), (regular[:1], 1), (regular[:4], 1), (regular, 1),
-             (regular[:3] + [L], 2), (regular[:3] + [copy], 2),
-             (meeting, 2), (regular[1:5] + meeting, 2), (meeting + [meeting[0]], 2),
-             ([L] * 300, 2)]  # its points are covered 300 times
+    cases = [([], "skew"), (regular[:1], "skew"), (regular[:4], "skew"), (regular, "skew"),
+             (regular[:3] + [L], "general"), (regular[:3] + [copy], "general"),
+             (meeting, "general"), (regular[1:5] + meeting, "general"),
+             (meeting + [meeting[0]], "general"),
+             ([L] * 300, "general")]  # its points are covered 300 times
     calls = []
-    lane_sums = spreads._sorted_lane_sums
-    monkeypatch.setattr(spreads, "_sorted_lane_sums", lambda rows, masks, lanes, width:
-                        calls.append(width) or lane_sums(rows, masks, lanes, width))
-    for members, n_sums in cases:
+
+    def counted(name):
+        f = getattr(spreads, name)
+        return lambda *a: calls.append(name) or f(*a)
+
+    for name in ("_sorted_lane_sums", "_skew_fingerprint"):
+        monkeypatch.setattr(spreads, name, counted(name))
+    for members, path in cases:
         calls.clear()
         S = PartialSpread(F, members)
         assert spread_fingerprint(S) == _fingerprint_oracle(S)
-        assert len(calls) == n_sums, (len(members), calls)
+        want = ["_skew_fingerprint"] if path == "skew" else ["_sorted_lane_sums"] * 2
+        assert calls == want, (len(members), calls)
+
+
+def test_skew_fingerprint_matches_the_oracle(monkeypatch):
+    # pairwise skew members take the transversal-count path: every k up to
+    # a regular spread, a random greedy maximal set of skew lines, and q = 2,
+    # 3 search results.  No line of PG(3,2) meets 4 skew lines, so q = 2
+    # reads no lanes at all.
+    monkeypatch.setattr(spreads, "_line_tables", {})
+    rng = random.Random(5)
+    for spec in ["p=2", "p=3", "p=2;ext=2", "p=5"]:
+        F = parse_field_spec(spec)
+        lines, meet = _rank_test_meet_masks(spec)
+        order, greedy, chosen = list(range(len(lines))), [], 0
+        rng.shuffle(order)
+        for i in order:
+            if not meet[i] & chosen:
+                greedy.append(lines[i])
+                chosen |= 1 << i
+        sets = [build_regular_spread(F).lines, greedy]
+        sets = [ls[:k] for ls in sets for k in range(len(ls) + 1)]
+        if F.size <= 3:
+            sets += [S.lines for S in search_maximal_partial_spreads(F, node_budget=20_000)]
+        for members in sets:
+            S = PartialSpread(F, members)
+            assert S.is_pairwise_skew()
+            assert spread_fingerprint(S) == _fingerprint_oracle(S), (spec, len(members))
+        if F.size == 2:
+            tab = spreads._line_table(F)
+            assert len(tab.meet_lanes) == len(tab.point_lanes) == 0
 
 
 def test_fingerprint_widens_only_the_lanes_it_reads(monkeypatch):
