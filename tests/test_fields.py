@@ -770,7 +770,13 @@ def _assert_canonical(F, f):
         assert type(v) is type(F.one_rep)
 
 
-@pytest.mark.parametrize("spec", ["p=2", "p=3", "p=7", "p=2;ext=2"])
+# one slot (F_p), folded slots over a prime base, a packing behind a basis
+# change (F_16 over F_4), and a layer of wide slots (F_961)
+ORACLE_SPECS = ["p=2", "p=3", "p=7", "p=2;ext=2", "p=3;ext=2", "p=2;ext=3",
+                "p=2;ext=2;ext=2", "p=31;ext=2"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_multipoly_matches_rep_oracle(spec):
     F = parse_field_spec(spec)
     rng = random.Random(2024)
@@ -808,6 +814,38 @@ def test_multipoly_matches_rep_oracle(spec):
         for got, want in cases:
             assert got.terms == want
             _assert_canonical(F, got)
+
+
+def _dense_terms(F, rng, side):
+    """A terms dict on every monomial a^i b^j, i, j < side: the key
+    a^(side-1) b^(side-1) of a product of two collects side^2 term
+    products.  Half the coefficients are the rep with every slot p - 1."""
+    W, top = fields.EXP_BITS, F.packed.pack([F.char - 1] * F.packed.n)
+    return {(i + j) << 3 * W | i << 2 * W | j << W:
+            top if rng.random() < 0.5 else F.index_to_rep(rng.randrange(1, F.size))
+            for i in range(side) for j in range(side)}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_dense_multipoly_matches_rep_oracle(spec):
+    # one key gathers 196 term products in `*`, 392 in `mul_sub`, and as
+    # many remainder updates in `exact_div`
+    F = parse_field_spec(spec)
+    rng = random.Random(32)
+    f, g, x, y = (MultiPoly(F, NAMES, _dense_terms(F, rng, 14)) for _ in range(4))
+    fg = f * g
+    want_fg = oracles.poly_mul(F, f.terms, g.terms)
+    cases = [
+        (fg, want_fg),
+        (f.mul_sub(x, g, y), oracles.poly_sub(F, oracles.poly_mul(F, f.terms, x.terms),
+                                               oracles.poly_mul(F, g.terms, y.terms))),
+        (fg.exact_div(f), oracles.poly_exact_div(F, 3, want_fg, f.terms)),
+        (fg.exact_div(f), g.terms),
+        (fg.mul_sub(x, fg, x), {}),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        _assert_canonical(F, got)
 
 
 @pytest.mark.parametrize("spec", ["p=3", "p=2;ext=2"])

@@ -1,5 +1,6 @@
 """Generic-mode kernels: Cramer vectors over F_q[a,b,c], cross-checked
 against finite kernels, and a runtime path that never imports sympy."""
+import hashlib
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from geproci import core, fatpoints
 from geproci.cli import fixture_text
 from geproci.fields import MultiPoly, extend_field, parse_field_spec
 from geproci.multipoly import KernelBasis, ScalarRing, kernel_of_conditions
-from geproci.projgeom import matrix_rank
+from geproci.projgeom import PointSet, enumerate_projective_space, matrix_rank
 from geproci.spreads import complement_points, read_spread
 
 
@@ -59,6 +60,35 @@ def test_generic_kernel_matches_finite_kernel(name, degree):
     # independent there too, so the specialized basis spans the finite kernel
     reps = [[c.rep for c in f.coeff_vector(finite.matrix.monos)] for f in specialized]
     assert matrix_rank(E, reps) == generic.dimension
+
+
+# sha256 of the serialized cubic kernel forms through 7 random points of
+# PG(3,q) (seeded subsets), q = 4, 8, 9: Bareiss over F_q[a,b,c] on towers
+TOWER_KERNEL_SHA256 = {
+    ("p=2;ext=2", 1): "22f011cadcbbfefe8a24aa5a0d7edd6427daaa7c6d68e465a3965d85b40407d7",
+    ("p=2;ext=2", 3): "da4e2052d43e499ad899ad2bca8ee05d20f403807e08008df4e4dc3bc18c3acf",
+    ("p=2;ext=3", 0): "4c938f36019bd1cde36aa92a6e543c399486e631777b9f307f1024c9b90a502d",
+    ("p=2;ext=3", 2): "6d86db42131e35b54627180ba8a4e6f33e7c257e49aedb73f08d1534869e95de",
+    ("p=3;ext=2", 1): "925bc4b1988c7ada43668f45e3a3b447bca7ad8c8cfaef604d386c62ab19a3c7",
+    ("p=3;ext=2", 2): "8fef45ca3940fb017639a10941b70f5e6b9d48dbe9a1253485eee306a193a94a",
+}
+
+
+def test_generic_kernel_forms_over_towers_are_pinned(monkeypatch):
+    divisors = []
+    exact_div = MultiPoly.exact_div
+    monkeypatch.setattr(MultiPoly, "exact_div",
+                        lambda f, d: divisors.append(d.degree()) or exact_div(f, d))
+    for (spec, seed), digest in TOWER_KERNEL_SHA256.items():
+        F = parse_field_spec(spec)
+        pts = list(enumerate_projective_space(F, 3).points)
+        Z = PointSet(F, random.Random(seed).sample(pts, 7), 3)
+        divisors.clear()
+        kernel = core.interpolate_curve(core.project(Z, core.GeneralPoint.generic(F)), 3)
+        assert kernel.dimension == 3
+        assert max(divisors) > 0  # the elimination divides by earlier pivots
+        text = "\n".join(f.serialize() for f in kernel.forms)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (spec, seed)
 
 
 def test_generic_kernel_leaves_the_condition_rows_intact():

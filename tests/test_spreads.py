@@ -103,10 +103,10 @@ def test_search_contract(spec, kwargs, expected):
     assert res.anomalies == []
 
 
-def _skew_by_rank_tests(spec):
+def _skew_by_incidence(spec):
     """Per line of PG(3,q), in all_lines order: the bitmask of the lines
-    skew to it, by rank tests."""
-    lines, meet = _rank_test_meet_masks(spec)
+    skew to it, from the incidence oracle."""
+    lines, meet = _incidence_meet_masks(spec)
     full = (1 << len(lines)) - 1
     return [full ^ m ^ (1 << i) for i, m in enumerate(meet)]
 
@@ -136,14 +136,14 @@ def test_search_matches_the_reference_walk_at_every_budget(F2, F3):
     # visiting them; the count, the truncation point and the spreads must
     # still be those of the child-by-child walk at every node budget.
     for sizes, count in ((None, 1212), ([5], 872)):
-        reference = spread_search_reference(_skew_by_rank_tests("p=2"), sizes)
+        reference = spread_search_reference(_skew_by_incidence("p=2"), sizes)
         assert reference[:2] == (count, False)
         for mode in ("exhaustive", "first"):
             for budget in range(reference[0] + 2):
                 assert _walk(F2, sizes, mode, budget) == _stopped_at(reference, budget, mode), \
                     (sizes, mode, budget)
     rng = random.Random(28)
-    skew3 = _skew_by_rank_tests("p=3")
+    skew3 = _skew_by_incidence("p=3")
     horizon = 60_000  # the reference walk counts this far
     for sizes in ([7, 8, 9], [7, 9]):
         dead = []
@@ -359,22 +359,36 @@ def test_spread_file_roundtrip(mps7_q3):
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_test_meet_masks(spec):
-    """Per line of PG(3,q): the bitmask of the other lines it meets, by rank
-    tests (independent of the point masks the library uses)."""
-    lines = all_lines(parse_field_spec(spec))
+def _incidence_meet_masks(spec):
+    """Per line of PG(3,q): the bitmask of the other lines it meets, from a
+    per-point incidence table (independent of the point masks the library
+    uses).  Each line lists its points as the combinations of its two
+    spanning rows; two lines meet iff they share one of them.  The table is
+    checked against the point count of PG(3,q) and, on seeded pairs, against
+    rank tests."""
+    F = parse_field_spec(spec)
+    q, lines = F.size, all_lines(F)
+    through = {}  # point key -> bitmask of the lines through it
+    for i, L in enumerate(lines):
+        for p in L.points():
+            through[p.key()] = through.get(p.key(), 0) | 1 << i
+    assert len(through) == (q ** 4 - 1) // (q - 1)
+    assert {m.bit_count() for m in through.values()} == {q * q + q + 1}
     meet = [0] * len(lines)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if not lines_skew(lines[i], lines[j]):
-                meet[i] |= 1 << j
-                meet[j] |= 1 << i
+    for i, L in enumerate(lines):
+        for p in L.points():
+            meet[i] |= through[p.key()]
+        meet[i] ^= 1 << i
+    rng = random.Random(spec)
+    for _ in range(200):
+        i, j = rng.sample(range(len(lines)), 2)
+        assert (meet[i] >> j & 1) == (not lines_skew(lines[i], lines[j]))
     return lines, meet
 
 
 def _fingerprint_oracle(S):
     """The per-point cover count and per-line popcount formula."""
-    lines, meet = _rank_test_meet_masks(S.field.spec_string())
+    lines, meet = _incidence_meet_masks(S.field.spec_string())
     index = {L.key(): i for i, L in enumerate(lines)}
     cover = {p.key(): 0 for p in enumerate_projective_space(S.field, 3)}
     bits = 0
@@ -485,7 +499,7 @@ def test_skew_fingerprint_matches_the_oracle(monkeypatch):
     rng = random.Random(5)
     for spec in ["p=2", "p=3", "p=2;ext=2", "p=5"]:
         F = parse_field_spec(spec)
-        lines, meet = _rank_test_meet_masks(spec)
+        lines, meet = _incidence_meet_masks(spec)
         order, greedy, chosen = list(range(len(lines))), [], 0
         rng.shuffle(order)
         for i in order:
