@@ -39,11 +39,12 @@ coordinates are polynomials in a, b, c, so no fraction and no polynomial
 gcd is ever needed.  Each monomial is one packed int key: the total degree
 in the top field, then one EXP_BITS-wide field per variable, first variable
 first.  Int order is then graded-lex order, and a monomial product is one
-int addition.  Over a prime field (``F.base is None``) the reps are ints
-in range(1, p), so a product or a Bareiss row update ``mul_sub`` sums raw
-int products per key and reduces mod p once per key, and ``exact_div``
-tests divisibility on the packed keys; over an extension the same
-operations call the field's rep methods once per term product.
+int addition.  The coefficients are the packed ints of the field, and one
+set of term loops serves every field.  A product or a Bareiss row update
+``mul_sub`` over F_p (one slot) sums the raw int products per key and
+reduces mod p once per key; with more slots each term product is folded
+into its key's cell and reduced by one Barrett step, as in `row_reduce`.
+``exact_div`` tests divisibility on the packed keys.
 """
 from __future__ import annotations
 
@@ -466,7 +467,8 @@ class FieldTower(_Field):
         if check and not is_irreducible(base, list(self.modulus)):
             raise ReducibleModulus("modulus is reducible over the base field")
         self._digit_rows = self._slot_rows = None
-        self.packed = _Packing(base.p, mod) if base.base is None else self._basis_change()
+        self.packed = K = _Packing(base.p, mod) if base.base is None else self._basis_change()
+        self.add_rep, self.sub_rep, self.neg_rep = K.add, K.sub, K.neg  # the packing's own
         self.zero_rep, self.one_rep = 0, 1
         self._log = self._exp = None  # built on first use, see _tables
         self._lifts = {}  # subfield -> images of its slot basis
@@ -522,15 +524,6 @@ class FieldTower(_Field):
         are zero and those past `degree` are dropped."""
         B = self.base
         return self.from_digits([c for b in coeffs[: self.degree] for c in B.digits(b)])
-
-    def add_rep(self, a, b):
-        return self.packed.add(a, b)
-
-    def sub_rep(self, a, b):
-        return self.packed.sub(a, b)
-
-    def neg_rep(self, a):
-        return self.packed.neg(a)
 
     def _tables(self):
         """Build the log/antilog tables (fields of size <= ZECH_MAX_SIZE).
@@ -991,13 +984,14 @@ class MultiPoly:
     Every exponent is at most the total degree, so a product of degree 2^W or
     more raises OverflowError before any field could carry into the next.
 
-    Over a prime field F_p every rep is an int in range(1, p), and ``+``,
-    ``-``, ``*``, ``mul_sub`` and ``exact_div`` run on ints: a product sums
-    the raw products of its term pairs per key, then reduces each sum mod
-    p once and drops the zeros (Monagan and Pearce's packed-exponent
-    accumulation).  Over an extension (F_4, F_9, F_{q^m}) they go through
-    the field's ``add_rep``, ``mul_rep`` and ``rep_is_zero`` on its packed
-    ints, one call per term product.
+    ``+``, ``-``, ``*``, ``mul_sub`` and ``exact_div`` run on the canonical
+    packed ints of ``field.packed`` for every field (see `_combination`,
+    `_sum` and `_exact_div`).  Over F_p a product sums the raw products of
+    its term pairs per key, then reduces each sum mod p once and drops the
+    zeros (Monagan and Pearce's packed-exponent accumulation).  Over an
+    extension (F_4, F_9, F_{q^m}) each term product is folded, added to its
+    key's canonical cell and reduced by one Barrett step.  A scalar is a
+    constant polynomial, and a sum or difference one Barrett step per key.
     """
 
     __slots__ = ("field", "names", "terms")
@@ -1042,107 +1036,56 @@ class MultiPoly:
         n = len(self.names)
         return tuple((key >> ((n - 1 - i) * EXP_BITS)) & _EXP_MASK for i in range(n))
 
-    def constant_value(self) -> FieldElement:
-        return FieldElement(self.field, self.terms.get(0, self.field.zero_rep))
-
     def leading(self):
         """(key, rep) of the graded-lex leading term."""
         key = max(self.terms)
         return key, self.terms[key]
 
     # arithmetic -------------------------------------------------------
-    def __add__(self, other):
+    def _coerce(self, other):
+        """other as a polynomial of this ring (a scalar as a constant), or None."""
         if isinstance(other, (int, FieldElement)):
             other = MultiPoly.const(self.field, self.names, other)  # one term, key 0
-        elif not isinstance(other, MultiPoly):
+        return other if isinstance(other, MultiPoly) else None
+
+    def _sum(self, other, sign: int):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        F = self.field
-        if F.base is None:
-            return MultiPoly(F, self.names, _int_sum(F.p, self.terms, other.terms, 1))
-        out = dict(self.terms)
-        for e, v in other.terms.items():
-            if e in out:
-                s = F.add_rep(out[e], v)
-                if F.rep_is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = v
-        return MultiPoly(F, self.names, out)
+        return MultiPoly(self.field, self.names, _sum(self.field.packed, self.terms, other.terms, sign))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        F = self.field
-        if F.base is None:
-            p = F.p
-            return MultiPoly(F, self.names, {e: p - v for e, v in self.terms.items()})
-        return MultiPoly(F, self.names, {e: F.neg_rep(v) for e, v in self.terms.items()})
-
     def __sub__(self, other):
-        if not isinstance(other, (MultiPoly, int, FieldElement)):
-            return NotImplemented
-        F = self.field
-        if F.base is None and isinstance(other, MultiPoly):
-            return MultiPoly(F, self.names, _int_sum(F.p, self.terms, other.terms, -1))
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, FieldElement)):
-            return NotImplemented
         return -self + other
 
+    def __neg__(self):
+        return MultiPoly.zero(self.field, self.names) - self
+
     def __mul__(self, other):
-        F = self.field
-        if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, FieldElement)):
-                return NotImplemented
-            c = F.element(other).rep  # lifts an element of a subfield
-            if F.rep_is_zero(c):
-                return MultiPoly(F, self.names, {})
-            if F.base is None:  # nonzero times nonzero is nonzero mod a prime
-                p = F.p
-                return MultiPoly(F, self.names, {e: v * c % p for e, v in self.terms.items()})
-            mul_rep = F.mul_rep
-            return MultiPoly(F, self.names, {e: mul_rep(v, c) for e, v in self.terms.items()})
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly(F, self.names, {})
-        if F.base is None:
-            return MultiPoly(F, self.names, _int_combination(F.p, len(self.names), ((a, b, 1),)))
-        shift = len(self.names) * EXP_BITS
-        if (max(a) >> shift) + (max(b) >> shift) > _EXP_MASK:
-            raise OverflowError(f"a product of degree >= 2^{EXP_BITS} overflows a packed exponent")
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        add_rep, mul_rep, is0 = F.add_rep, F.mul_rep, F.rep_is_zero
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = e1 + e2
-                prod = mul_rep(v1, v2)
-                if e in out:
-                    s = add_rep(out[e], prod)
-                    if is0(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:  # a product of nonzero field elements is nonzero
-                    out[e] = prod
-        return MultiPoly(F, self.names, out)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not self.terms or not other.terms:
+            return MultiPoly(self.field, self.names, {})
+        return self._combination(((self.terms, other.terms, 1),))
 
     __rmul__ = __mul__
 
     def mul_sub(self, x: "MultiPoly", b: "MultiPoly", y: "MultiPoly") -> "MultiPoly":
         """self*x - b*y for polynomials x, b, y: the row update of
-        fraction-free elimination.  Over a prime field both products go
-        into one accumulation, reduced once per key."""
+        fraction-free elimination, both products in one accumulation."""
+        return self._combination(((self.terms, x.terms, 1), (b.terms, y.terms, -1)))
+
+    def _combination(self, products) -> "MultiPoly":
         F = self.field
-        if F.base is not None:
-            return self * x - b * y
-        products = ((self.terms, x.terms, 1), (b.terms, y.terms, -1))
-        return MultiPoly(F, self.names, _int_combination(F.p, len(self.names), products))
+        return MultiPoly(F, self.names, _combination(F.packed, len(self.names), products))
 
     def __pow__(self, e: int):
         result = MultiPoly.const(self.field, self.names, 1)
@@ -1196,40 +1139,26 @@ class MultiPoly:
         F = self.field
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():
-            inv = F.inv_rep(divisor.constant_value().rep)
-            return MultiPoly(F, self.names, {e: F.mul_rep(v, inv) for e, v in self.terms.items()})
-        if F.base is None:
-            return MultiPoly(F, self.names, _int_exact_div(F, len(self.names), self.terms, divisor.terms))
-        rem = dict(self.terms)
-        out: dict = {}
-        dlead_e, dlead_c = divisor.leading()
-        dlead_exps = self.exps(dlead_e)
-        dinv = F.inv_rep(dlead_c)
-        while rem:
-            e = max(rem)
-            if any(a < b for a, b in zip(self.exps(e), dlead_exps)):
-                raise ValueError("inexact polynomial division")
-            qe = e - dlead_e
-            qc = F.mul_rep(rem[e], dinv)
-            out[qe] = qc
-            for de, dv in divisor.terms.items():
-                te = qe + de
-                s = F.sub_rep(rem.get(te, F.zero_rep), F.mul_rep(qc, dv))
-                if F.rep_is_zero(s):
-                    rem.pop(te, None)
-                else:
-                    rem[te] = s
-        return MultiPoly(F, self.names, out)
+        if divisor.is_constant():  # a product with the inverse constant
+            return self._combination(((self.terms, {0: F.inv_rep(divisor.terms[0])}, 1),))
+        return MultiPoly(F, self.names, _exact_div(F, len(self.names), self.terms, divisor.terms))
 
     def __repr__(self):
         return poly_str(self)
 
 
-def _int_combination(p: int, nvars: int, products) -> dict:
+def _combination(K: _Packing, nvars: int, products) -> dict:
     """The terms of the sum of sign*a*b over the (a, b, sign) in products,
-    a and b being terms dicts over F_p."""
-    shift = nvars * EXP_BITS
+    a and b terms dicts of canonical ints packed by K, sign 1 or -1.
+
+    With one slot (F_p) the raw int products are summed per key and each
+    sum is reduced mod p once, Monagan and Pearce's packed-exponent
+    accumulation.  With more slots a product is folded, added to its key's
+    canonical cell and reduced by one Barrett step, as a `row_reduce`
+    update is: both factors and the cell are canonical, so every slot stays
+    below 2^W (see `_Packing`); the sign goes on a's coefficient as its
+    canonical negation."""
+    shift, one = nvars * EXP_BITS, K.n == 1
     out: dict = {}
     get = out.get
     for a, b, sign in products:
@@ -1239,20 +1168,40 @@ def _int_combination(p: int, nvars: int, products) -> dict:
             raise OverflowError(f"a product of degree >= 2^{EXP_BITS} overflows a packed exponent")
         if len(a) > len(b):
             a, b = b, a
+        if one:
+            for e1, v1 in a.items():
+                v1 *= sign
+                for e2, v2 in b.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + v1 * v2
+            continue
+        low, nS, tail, folds, m, k, qmask, p = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask, K.p
         for e1, v1 in a.items():
-            v1 *= sign
+            v1 = K.neg(v1) if sign < 0 else v1
             for e2, v2 in b.items():
+                t = v1 * v2
+                for _ in folds:
+                    t = (t & low) + (t >> nS) * tail
                 e = e1 + e2
-                out[e] = get(e, 0) + v1 * v2
-    return {e: r for e, v in out.items() if (r := v % p)}
+                t += get(e, 0)
+                out[e] = t - (((t * m) >> k) & qmask) * p
+    if one:
+        p = K.p
+        return {e: r for e, v in out.items() if (r := v % p)}
+    return {e: v for e, v in out.items() if v}
 
 
-def _int_sum(p: int, a: dict, b: dict, sign: int) -> dict:
-    """The terms of a + sign*b over F_p, for sign 1 or -1."""
+def _sum(K: _Packing, a: dict, b: dict, sign: int) -> dict:
+    """The terms of a + sign*b, for sign 1 or -1, on canonical ints packed
+    by K: one Barrett step per key of b.  A difference first adds p to
+    every slot, as `_Packing.sub` does, so no slot goes negative."""
+    m, k, qmask, p = K.m, K.k, K.qmask, K.p
+    ps = K.ps if sign < 0 else 0
     out = dict(a)
     get = out.get
     for e, v in b.items():
-        s = (get(e, 0) + sign * v) % p
+        t = get(e, 0) + ps + sign * v
+        s = t - (((t * m) >> k) & qmask) * p
         if s:
             out[e] = s
         else:
@@ -1260,32 +1209,52 @@ def _int_sum(p: int, a: dict, b: dict, sign: int) -> dict:
     return out
 
 
-def _int_exact_div(F: PrimeField, nvars: int, a: dict, d: dict) -> dict:
-    """The quotient a / d over F_p, or ValueError if d does not divide a.
+def _exact_div(F, nvars: int, a: dict, d: dict) -> dict:
+    """The quotient a / d, or ValueError if d does not divide a.
 
     The divisor's leading monomial divides the remainder's, e, exactly when
     q = e - lead subtracts exponent by exponent, with no borrow out of an
     exponent field (then q >= 0, as degrees are sums of exponents).  Bit k
     of e ^ lead ^ q is the borrow into bit k of q, so the test reads the
     bits at W, 2W, ..., nvars*W, the lowest bit of every field above the
-    last variable's."""
-    p = F.p
+    last variable's.
+
+    A remainder update adds the quotient coefficient times a negated
+    divisor coefficient to a canonical cell, reduced by one `% p` with one
+    slot, and folded and reduced by one Barrett step with more, as in
+    `_combination`."""
+    K = F.packed
     borrows = sum(1 << (i * EXP_BITS) for i in range(1, nvars + 1))
     dlead = max(d)
     dinv = F.inv_rep(d[dlead])
-    tail = [(e, -v) for e, v in d.items() if e != dlead]
+    tail = [(e, K.neg(v)) for e, v in d.items() if e != dlead]
     rem, out = dict(a), {}
-    get = rem.get
+    get, one, p = rem.get, K.n == 1, K.p
+    if not one:
+        low, nS, ktail, folds, m, k, qmask = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask
     while rem:
         e = max(rem)
         q = e - dlead
         if (e ^ dlead ^ q) & borrows:
             raise ValueError("inexact polynomial division")
-        c = rem.pop(e) * dinv % p
-        out[q] = c
+        if one:
+            c = out[q] = rem.pop(e) * dinv % p
+            for te, v in tail:
+                te += q
+                s = (get(te, 0) + c * v) % p
+                if s:
+                    rem[te] = s
+                else:
+                    del rem[te]
+            continue
+        c = out[q] = K.mul(rem.pop(e), dinv)
         for te, v in tail:
+            t = c * v
+            for _ in folds:
+                t = (t & low) + (t >> nS) * ktail
             te += q
-            s = (get(te, 0) + c * v) % p
+            t += get(te, 0)
+            s = t - (((t * m) >> k) & qmask) * p
             if s:
                 rem[te] = s
             else:

@@ -617,7 +617,7 @@ def _bareiss_echelon(mat: EvaluationMatrix):
         i = best[1]
         rows[r], rows[i] = rows[i], rows[r]
         piv = rows[r][c]
-        prev_is_one = prev.is_constant() and prev.constant_value().index == 1
+        prev_is_one = prev.terms == {0: 1}  # 1 is the rep of one in every field
         for k in range(r + 1, len(rows)):
             entry = rows[k][c]
             new = []
