@@ -93,12 +93,8 @@ def _padd(F, f, g):
     return _pnorm(out)
 
 
-def _pneg(F, f):
-    return [F.neg_rep(c) for c in f]
-
-
 def _psub(F, f, g):
-    return _padd(F, f, _pneg(F, g))
+    return _padd(F, f, [F.neg_rep(c) for c in g])
 
 
 def _pmul(F, f, g):
@@ -1042,49 +1038,46 @@ class MultiPoly:
         return key, self.terms[key]
 
     # arithmetic -------------------------------------------------------
-    def _coerce(self, other):
-        """other as a polynomial of this ring (a scalar as a constant), or None."""
+    def _const(self, other):
+        """A scalar as a constant of this ring (one term, key 0), else None."""
         if isinstance(other, (int, FieldElement)):
-            other = MultiPoly.const(self.field, self.names, other)  # one term, key 0
-        return other if isinstance(other, MultiPoly) else None
-
-    def _sum(self, other, sign: int):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MultiPoly(self.field, self.names, _sum(self.field.packed, self.terms, other.terms, sign))
+            return MultiPoly.const(self.field, self.names, other)
+        return None
 
     def __add__(self, other):
-        return self._sum(other, 1)
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
+            return NotImplemented
+        F = self.field
+        return MultiPoly(F, self.names, _sum(F.packed, self.terms, other.terms, 1))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
+            return NotImplemented
+        F = self.field
+        return MultiPoly(F, self.names, _sum(F.packed, self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         return -self + other
 
     def __neg__(self):
-        return MultiPoly.zero(self.field, self.names) - self
+        return MultiPoly(self.field, self.names, _sum(self.field.packed, {}, self.terms, -1))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return MultiPoly(self.field, self.names, {})
-        return self._combination(((self.terms, other.terms, 1),))
+        F, a, b = self.field, self.terms, other.terms
+        if not a or not b:
+            return MultiPoly(F, self.names, {})
+        return MultiPoly(F, self.names, _combination(F.packed, len(self.names), ((a, b, 1),)))
 
     __rmul__ = __mul__
 
     def mul_sub(self, x: "MultiPoly", b: "MultiPoly", y: "MultiPoly") -> "MultiPoly":
         """self*x - b*y for polynomials x, b, y: the row update of
         fraction-free elimination, both products in one accumulation."""
-        return self._combination(((self.terms, x.terms, 1), (b.terms, y.terms, -1)))
-
-    def _combination(self, products) -> "MultiPoly":
-        F = self.field
+        F, products = self.field, ((self.terms, x.terms, 1), (b.terms, y.terms, -1))
         return MultiPoly(F, self.names, _combination(F.packed, len(self.names), products))
 
     def __pow__(self, e: int):
@@ -1139,8 +1132,6 @@ class MultiPoly:
         F = self.field
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if divisor.is_constant():  # a product with the inverse constant
-            return self._combination(((self.terms, {0: F.inv_rep(divisor.terms[0])}, 1),))
         return MultiPoly(F, self.names, _exact_div(F, len(self.names), self.terms, divisor.terms))
 
     def __repr__(self):
@@ -1158,7 +1149,7 @@ def _combination(K: _Packing, nvars: int, products) -> dict:
     update is: both factors and the cell are canonical, so every slot stays
     below 2^W (see `_Packing`); the sign goes on a's coefficient as its
     canonical negation."""
-    shift, one = nvars * EXP_BITS, K.n == 1
+    shift, one, p = nvars * EXP_BITS, K.n == 1, K.p
     out: dict = {}
     get = out.get
     for a, b, sign in products:
@@ -1175,7 +1166,7 @@ def _combination(K: _Packing, nvars: int, products) -> dict:
                     e = e1 + e2
                     out[e] = get(e, 0) + v1 * v2
             continue
-        low, nS, tail, folds, m, k, qmask, p = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask, K.p
+        low, nS, tail, folds, m, k, qmask = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask
         for e1, v1 in a.items():
             v1 = K.neg(v1) if sign < 0 else v1
             for e2, v2 in b.items():
@@ -1186,7 +1177,6 @@ def _combination(K: _Packing, nvars: int, products) -> dict:
                 t += get(e, 0)
                 out[e] = t - (((t * m) >> k) & qmask) * p
     if one:
-        p = K.p
         return {e: r for e, v in out.items() if (r := v % p)}
     return {e: v for e, v in out.items() if v}
 
@@ -1219,34 +1209,44 @@ def _exact_div(F, nvars: int, a: dict, d: dict) -> dict:
     bits at W, 2W, ..., nvars*W, the lowest bit of every field above the
     last variable's.
 
-    A remainder update adds the quotient coefficient times a negated
-    divisor coefficient to a canonical cell, reduced by one `% p` with one
-    slot, and folded and reduced by one Barrett step with more, as in
-    `_combination`."""
+    A remainder update subtracts the quotient coefficient times a divisor
+    coefficient from a canonical cell and reduces by one `% p` with one
+    slot; with more it adds the folded product with the negated divisor
+    coefficient and reduces by one Barrett step, as in `_combination`."""
     K = F.packed
     borrows = sum(1 << (i * EXP_BITS) for i in range(1, nvars + 1))
     dlead = max(d)
     dinv = F.inv_rep(d[dlead])
-    tail = [(e, K.neg(v)) for e, v in d.items() if e != dlead]
+    one, p = K.n == 1, K.p
+    if not dlead:  # a constant divisor: a product with its inverse
+        if one:
+            return {e: v * dinv % p for e, v in a.items()}
+        return {e: K.mul(v, dinv) for e, v in a.items()}
     rem, out = dict(a), {}
-    get, one, p = rem.get, K.n == 1, K.p
-    if not one:
-        low, nS, ktail, folds, m, k, qmask = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask
+    get = rem.get
+    if one:
+        tail = [(e, v) for e, v in d.items() if e != dlead]
+        while rem:
+            e = max(rem)
+            q = e - dlead
+            if (e ^ dlead ^ q) & borrows:
+                raise ValueError("inexact polynomial division")
+            c = out[q] = rem.pop(e) * dinv % p
+            for te, v in tail:
+                te += q
+                s = (get(te, 0) - c * v) % p
+                if s:
+                    rem[te] = s
+                else:
+                    del rem[te]
+        return out
+    tail = [(e, K.neg(v)) for e, v in d.items() if e != dlead]
+    low, nS, ktail, folds, m, k, qmask = K.low, K.nS, K.tail, K.folds, K.m, K.k, K.qmask
     while rem:
         e = max(rem)
         q = e - dlead
         if (e ^ dlead ^ q) & borrows:
             raise ValueError("inexact polynomial division")
-        if one:
-            c = out[q] = rem.pop(e) * dinv % p
-            for te, v in tail:
-                te += q
-                s = (get(te, 0) + c * v) % p
-                if s:
-                    rem[te] = s
-                else:
-                    del rem[te]
-            continue
         c = out[q] = K.mul(rem.pop(e), dinv)
         for te, v in tail:
             t = c * v

@@ -13,9 +13,10 @@ dead tails in bulk.
 by column, as `fields.row_reduce` once did.  The `poly_*` functions act
 on `MultiPoly.terms` dicts (packed monomial key -> nonzero rep) through
 F's own `mul_rep`, `add_rep`, `sub_rep` and `rep_is_zero`, one call per
-term product, as `MultiPoly` once did over every field.  `tower_oracle` builds the layers of a spec
-`p=p;ext=d1;ext=d2;...` as tuples of lower-layer reps, with the index
-order and moduli that spec strings name, as `fields` once did."""
+term product, as `MultiPoly` did before its term loops ran on packed
+ints (F_p first, then every field).  `tower_oracle` builds the layers of
+a spec `p=p;ext=d1;ext=d2;...` as tuples of lower-layer reps, with the
+index order and moduli that spec strings name, as `fields` once did."""
 import functools
 
 from geproci.fields import EXP_BITS
