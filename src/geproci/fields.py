@@ -1209,10 +1209,10 @@ def _exact_div(F, nvars: int, a: dict, d: dict) -> dict:
     bits at W, 2W, ..., nvars*W, the lowest bit of every field above the
     last variable's.
 
-    A remainder update subtracts the quotient coefficient times a divisor
-    coefficient from a canonical cell and reduces by one `% p` with one
-    slot; with more it adds the folded product with the negated divisor
-    coefficient and reduces by one Barrett step, as in `_combination`."""
+    A remainder update adds the quotient coefficient times a negated
+    divisor coefficient to a cell: summed as ints and reduced by one `% p`
+    with one slot, folded into the canonical cell and reduced by one
+    Barrett step with more, as in `_combination`."""
     K = F.packed
     borrows = sum(1 << (i * EXP_BITS) for i in range(1, nvars + 1))
     dlead = max(d)
@@ -1225,7 +1225,7 @@ def _exact_div(F, nvars: int, a: dict, d: dict) -> dict:
     rem, out = dict(a), {}
     get = rem.get
     if one:
-        tail = [(e, v) for e, v in d.items() if e != dlead]
+        tail = [(e, -v) for e, v in d.items() if e != dlead]
         while rem:
             e = max(rem)
             q = e - dlead
@@ -1234,7 +1234,7 @@ def _exact_div(F, nvars: int, a: dict, d: dict) -> dict:
             c = out[q] = rem.pop(e) * dinv % p
             for te, v in tail:
                 te += q
-                s = (get(te, 0) - c * v) % p
+                s = (get(te, 0) + c * v) % p
                 if s:
                     rem[te] = s
                 else:
